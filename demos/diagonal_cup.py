@@ -2,8 +2,9 @@
 
 The production cup product composes chain maps, never touching a
 diagonal.  For a cyclic group on its minimal periodic resolution there
-is also the textbook route: solve for a diagonal approximation
-Delta: X -> X (x) X and evaluate (w (x) alpha) o Delta directly.
+is also the textbook route: write down the closed-form diagonal
+approximation Delta: X -> X (x) X (Cartan & Eilenberg XII.7) and
+evaluate (w (x) alpha) o Delta directly.
 
 Both routes are run on H^*(Z/3, Z), class by class, and must agree up
 to a global sign per degree (the two conventions orient odd swaps
@@ -28,7 +29,7 @@ C = concentrate(zmodule(G), 0)
 X = complete_resolution(periodic_resolution(G, 6))
 
 diag = diagonal_approximation(X, 4)
-print("diagonal approximation solved and verified on %d identities"
+print("closed-form diagonal approximation verified on %d identities"
       % len(diag.verified))
 
 T = tate_hypercohomology(X, C, -2, 2)

@@ -9,6 +9,7 @@ deterministic work count instead of wall-clock numbers.
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import reduce
@@ -731,6 +732,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (CapExceeded, WindowError, LiftingError, ValidationError) as e:
         print("computation error: %s" % e, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the flush at
+        # interpreter exit does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

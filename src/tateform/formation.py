@@ -31,6 +31,7 @@ from .groups import (
 )
 from .intlinalg import (
     AbGroup,
+    AbMap,
     IntMatrix,
     LatticeSolver,
     cokernel_structure,
@@ -50,7 +51,6 @@ from .tate import (
     restriction_blocks,
     tate_hypercohomology,
     tate_nakayama_check,
-    _image_order,
 )
 
 LEX_NOTE = ("generator choice: lexicographically least compatible family "
@@ -247,11 +247,7 @@ def _invert_on_groups(matrix: IntMatrix, source: AbGroup,
     """A right inverse of an isomorphism of finite abelian groups given by
     a coordinate matrix; columns answer 'which source class maps to this
     target generator'."""
-    tinv = target.invariants()
-    diag = zeros(len(tinv), len(tinv))
-    for i, t in enumerate(tinv):
-        diag[i, i] = t
-    solver = LatticeSolver(hstack([matrix, diag]))
+    solver = LatticeSolver(hstack([matrix, target.relations()]))
     out = zeros(source.ngens, target.ngens)
     for i in range(target.ngens):
         e = np.zeros(target.ngens, dtype=object)
@@ -265,40 +261,18 @@ def _invert_on_groups(matrix: IntMatrix, source: AbGroup,
     return out
 
 
-class ReciprocityResult:
-    """The map H^0(G, C) -> G^ab obtained by inverting cup-with-u down to
-    degree -2 and applying the abelianization identification."""
-
-    __slots__ = ("matrix", "source", "target", "verdict")
-
-    def __init__(self, matrix: IntMatrix, source: AbGroup, target: AbGroup,
-                 verdict: bool):
-        self.matrix = matrix
-        self.source = source
-        self.target = target
-        self.verdict = verdict
-
-    def apply(self, coords) -> Tuple[int, ...]:
-        vec = self.matrix @ np.array(list(coords), dtype=object)
-        return self.target.reduce_coords(vec)
-
-
-def reciprocity_map(X, C: GComplex, u: TateClass) -> ReciprocityResult:
-    """Compose the inverse of cupping with u (H^{-2}(G, Z) -> H^0(G, C))
-    with iota: H^{-2}(G, Z) -> G^ab.  The verdict records both injectivity
-    (equal orders) and surjectivity, which is what density means at a
-    finite level."""
+def reciprocity_map(X, C: GComplex, u: TateClass) -> AbMap:
+    """The map H^0(G, C) -> G^ab: compose the inverse of cupping with u
+    (H^{-2}(G, Z) -> H^0(G, C)) with iota: H^{-2}(G, Z) -> G^ab.  Its
+    verdict records both injectivity (equal orders) and surjectivity,
+    which is what density means at a finite level."""
     cup = cup_with(X, C, u, 0)
     if not cup.is_isomorphism():
         raise ValidationError(
             "cup map is not invertible; Tate-Nakayama should forbid this")
     inv = _invert_on_groups(cup.matrix, cup.source, cup.target)
     io = iota_abelianization(X)
-    matrix = io.matrix @ inv
-    source, target = cup.target, io.target
-    surj = _image_order(matrix, target) == target.order()
-    verdict = surj and source.order() == target.order()
-    return ReciprocityResult(matrix, source, target, verdict)
+    return AbMap(io.matrix @ inv, cup.target, io.target)
 
 
 class NormGroupTable:
@@ -359,17 +333,13 @@ def norm_group_table(X, C: GComplex, u: TateClass) -> NormGroupTable:
             continue
         pair = SubgroupPair(X, C, V, 0, 0, ambient=ambient)
         cor_cols = pair.cor_matrix(0)
-        inv0 = h0.invariants()
-        diag = zeros(len(inv0), len(inv0))
-        for i, t in enumerate(inv0):
-            diag[i, i] = t
-        quot = cokernel_structure(hstack([cor_cols, diag])).invariants()
+        quot = cokernel_structure(
+            hstack([cor_cols, h0.relations()])).invariants()
         abQ, P = _quotient_ab_factor(G, V)
-        induced = P @ rec.matrix
-        kills = all(
-            all(c == 0 for c in abQ.reduce_coords(induced @ cor_cols[:, j]))
-            for j in range(cor_cols.shape[1]))
-        surj = _image_order(induced, abQ) == abQ.order()
+        induced = AbMap(P @ rec.matrix, h0, abQ)
+        kills = all(not any(induced.apply(cor_cols[:, j]))
+                    for j in range(cor_cols.shape[1]))
+        surj = induced.image_order() == abQ.order()
         ok = (quot == abQ.invariants() and kills and surj)
         table.rows.append((V.elements, quot, abQ.invariants(), ok))
     return table

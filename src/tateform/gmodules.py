@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import CapExceeded, ValidationError
 from .groups import FiniteGroup, Subgroup, make_cyclic
 from .intlinalg import (
@@ -91,9 +89,6 @@ class GModule:
     def structure(self) -> AbGroup:
         """The underlying abelian group, forgetting the action."""
         return cokernel_structure(self.relators)
-
-    def zero_element(self) -> np.ndarray:
-        return np.zeros(self.gens, dtype=object)
 
     def __repr__(self) -> str:
         return f"GModule({self.name} over {self.group.name}, gens={self.gens})"

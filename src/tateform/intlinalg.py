@@ -291,7 +291,6 @@ class LatticeSolver:
         m, n = self.a.shape
         c = snf.u @ b
         y = np.zeros(n, dtype=object)
-        r = snf.rank
         for i in range(m):
             d = snf.diagonal[i] if i < len(snf.diagonal) else 0
             if d != 0:
@@ -302,7 +301,6 @@ class LatticeSolver:
             else:
                 if c[i] != 0:
                     return None
-        del r
         return snf.v @ y
 
     def solve_matrix(self, b: IntMatrix) -> Optional[IntMatrix]:
@@ -406,8 +404,14 @@ class AbGroup:
         """Torsion invariant factors followed by one 0 per free summand."""
         return self.torsion + (0,) * self.free_rank
 
-    def same_invariants(self, other: "AbGroup") -> bool:
-        return self.invariants() == other.invariants()
+    def relations(self) -> IntMatrix:
+        """diag(invariants): columns span the relations among the
+        canonical generators."""
+        inv = self.invariants()
+        out = zeros(len(inv), len(inv))
+        for i, t in enumerate(inv):
+            out[i, i] = t
+        return out
 
     def reduce_coords(self, coords: np.ndarray) -> tuple[int, ...]:
         out = []
@@ -469,6 +473,47 @@ def cokernel_structure(a: IntMatrix) -> AbGroup:
     return AbGroup(len(free_idx), torsion, basis_lift, reduce_map)
 
 
+class AbMap:
+    """A homomorphism of finitely generated abelian groups: ``matrix``
+    sends canonical coordinates of ``source`` to those of ``target``."""
+
+    __slots__ = ("matrix", "source", "target")
+
+    def __init__(self, matrix: IntMatrix, source: AbGroup, target: AbGroup):
+        self.matrix = matrix
+        self.source = source
+        self.target = target
+
+    @classmethod
+    def from_columns(cls, cols: Sequence[Sequence[int]], source: AbGroup,
+                     target: AbGroup) -> "AbMap":
+        """The map whose column i is the image of source generator i."""
+        matrix = zeros(target.ngens, len(cols))
+        for i, c in enumerate(cols):
+            matrix[:, i] = np.array(c, dtype=object)
+        return cls(matrix, source, target)
+
+    def apply(self, coords: Sequence[int]) -> tuple[int, ...]:
+        vec = self.matrix @ np.array(list(coords), dtype=object)
+        return self.target.reduce_coords(vec)
+
+    def image_order(self) -> int:
+        """Order of the image inside a finite target."""
+        quot = cokernel_structure(hstack([self.matrix, self.target.relations()]))
+        return self.target.order() // quot.order()
+
+    def is_isomorphism(self) -> bool:
+        """Finite groups: surjective with equal orders."""
+        if self.source.order() != self.target.order():
+            return False
+        return self.image_order() == self.target.order()
+
+    @property
+    def verdict(self) -> bool:
+        """is_isomorphism(), under the name reciprocity reports use."""
+        return self.is_isomorphism()
+
+
 class Subquotient:
     """ker/im structure inside an ambient Z^g, possibly modulo relators.
 
@@ -493,10 +538,6 @@ class Subquotient:
         )
         self.group = AbGroup(coker.free_rank, coker.torsion, reps)
         self._coker = coker
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.numerator_basis.shape[0]
 
     def representative(self, i: int) -> np.ndarray:
         return self.group.basis_lift[:, i]

@@ -36,11 +36,11 @@ from .groups import (
 )
 from .intlinalg import (
     AbGroup,
+    AbMap,
     IntMatrix,
     LatticeSolver,
     Subquotient,
     block_diag,
-    cokernel_structure,
     eye,
     hstack,
     is_zero,
@@ -70,6 +70,16 @@ class HomBlock:
     @property
     def dim(self) -> int:
         return self.rank * self.gens
+
+    def gen_matrix(self, vec: np.ndarray) -> IntMatrix:
+        """This block of a cochain as a gens x rank generator matrix:
+        column b holds the value on generator b."""
+        return vec[self.offset:self.offset + self.dim].reshape(
+            self.rank, self.gens).T
+
+    def put(self, vec: np.ndarray, genmat: IntMatrix) -> None:
+        """Write a gens x rank generator matrix into this block of vec."""
+        vec[self.offset:self.offset + self.dim] = genmat.T.reshape(-1)
 
 
 class TotalComplex:
@@ -464,28 +474,12 @@ class SubgroupPair:
 
     def res_matrix(self, q: int) -> IntMatrix:
         """Induced map on cohomology, columns = canonical generators."""
-        cols = []
-        rmat = self.res_cochain(q)
-        for i in range(self.tate_G.group(q).ngens):
-            image = rmat @ self.tate_G.representative(q, i)
-            cols.append(self.tate_H.classify(q, image))
-        k = self.tate_H.group(q).ngens
-        out = zeros(k, len(cols))
-        for i, c in enumerate(cols):
-            out[:, i] = np.array(c, dtype=object)
-        return out
+        return induced_map(self.tate_G, self.tate_H, self.res_cochain(q),
+                           q, q).matrix
 
     def cor_matrix(self, q: int) -> IntMatrix:
-        cols = []
-        cmat = self.cor_cochain(q)
-        for i in range(self.tate_H.group(q).ngens):
-            image = cmat @ self.tate_H.representative(q, i)
-            cols.append(self.tate_G.classify(q, image))
-        k = self.tate_G.group(q).ngens
-        out = zeros(k, len(cols))
-        for i, c in enumerate(cols):
-            out[:, i] = np.array(c, dtype=object)
-        return out
+        return induced_map(self.tate_H, self.tate_G, self.cor_cochain(q),
+                           q, q).matrix
 
 
 def restriction(X, X_H: SubgroupResolution, C: GComplex,
@@ -515,14 +509,14 @@ def _free_action_matrix(G: FiniteGroup, rank: int, sigma: int) -> IntMatrix:
     return P
 
 
-def module_full_matrix(M: GModule, gen: IntMatrix) -> IntMatrix:
-    """Full Z-matrix of a map Z[G]^r -> M from its generator matrix."""
-    n = M.group.order
+def equivariant_full(acts: Sequence[IntMatrix], gen: IntMatrix) -> IntMatrix:
+    """Full Z-matrix of an equivariant map Z[G]^r -> M from its generator
+    matrix, where acts[sigma] is the action of sigma on M."""
+    n = len(acts)
     dim, r = gen.shape
     out = zeros(dim, r * n)
     for sigma in range(n):
-        act = M.act(sigma)
-        block = act @ gen
+        block = acts[sigma] @ gen
         for b in range(r):
             out[:, b * n + sigma] = block[:, b]
     return out
@@ -600,40 +594,8 @@ class ShiftLift:
         return out
 
 
-class CupMap:
-    """cup with a fixed degree-2 class: a matrix from the canonical
-    generators of H^{q-2}(G, Z) to those of H^q(G, C)."""
-
-    def __init__(self, matrix: IntMatrix, source: AbGroup, target: AbGroup,
-                 degree: int):
-        self.matrix = matrix
-        self.source = source
-        self.target = target
-        self.degree = degree
-
-    def apply(self, coords: Sequence[int]) -> Tuple[int, ...]:
-        vec = self.matrix @ np.array(list(coords), dtype=object)
-        return self.target.reduce_coords(vec)
-
-    def is_isomorphism(self) -> bool:
-        """Finite groups: surjective with equal orders."""
-        if self.source.order() != self.target.order():
-            return False
-        return _image_order(self.matrix, self.target) == self.target.order()
-
-
-def _image_order(cols: IntMatrix, target: AbGroup) -> int:
-    """Order of the subgroup of a finite group generated by the columns."""
-    inv = target.invariants()
-    diag = zeros(len(inv), len(inv))
-    for i, t in enumerate(inv):
-        diag[i, i] = t
-    quot = cokernel_structure(hstack([cols, diag]))
-    return target.order() // quot.order()
-
-
 def cup_with(X, C: GComplex, a: TateClass, q: int,
-             tate: Optional[TateGroups] = None) -> CupMap:
+             tate: Optional[TateGroups] = None) -> AbMap:
     """The map H^{q-2}(G, Z) -> H^q(G, C) given by cupping with a.
 
     Realized by composition: each source class w lifts to a chain map Xi
@@ -650,7 +612,7 @@ def cup_with(X, C: GComplex, a: TateClass, q: int,
 
 
 def cup_from_cochain(X, C: GComplex, a_vec: np.ndarray, q: int,
-                     tate: TateGroups) -> CupMap:
+                     tate: TateGroups) -> AbMap:
     """Same as cup_with, from an explicit degree-2 cocycle vector; used to
     demonstrate independence of the chosen representative."""
     if C.hi - C.lo + 1 > 2:
@@ -668,11 +630,8 @@ def cup_from_cochain(X, C: GComplex, a_vec: np.ndarray, q: int,
     for blk in tate.total.blocks[2]:
         if blk.gens == 0:
             continue
-        genmat = zeros(blk.gens, blk.rank)
-        for b in range(blk.rank):
-            genmat[:, b] = a_vec[blk.offset + b * blk.gens:
-                                 blk.offset + (b + 1) * blk.gens]
-        alpha_full[blk.j] = module_full_matrix(C.term(blk.j), genmat)
+        alpha_full[blk.j] = equivariant_full(C.term(blk.j).action,
+                                             blk.gen_matrix(a_vec))
 
     s_needed = [j - q for j in C.degrees()]
     cols = []
@@ -683,44 +642,16 @@ def cup_from_cochain(X, C: GComplex, a_vec: np.ndarray, q: int,
         for blk in tate.total.blocks[q]:
             if blk.gens == 0 or blk.j not in alpha_full:
                 continue
-            prod = alpha_full[blk.j] @ xi.gen[blk.j - q]
-            for b in range(blk.rank):
-                phi[blk.offset + b * blk.gens:
-                    blk.offset + (b + 1) * blk.gens] = prod[:, b]
+            blk.put(phi, alpha_full[blk.j] @ xi.gen[blk.j - q])
         cols.append(tate.classify(q, phi))
-    matrix = zeros(target.ngens, source.ngens)
-    for i, c in enumerate(cols):
-        matrix[:, i] = np.array(c, dtype=object)
-    return CupMap(matrix, source, target, q)
+    return AbMap.from_columns(cols, source, target)
 
 
 # ---------------------------------------------------------------------------
 # degree -2 with Z coefficients vs the abelianization
 
 
-class IotaMap:
-    """The identification of H^{-2}(G, Z) with G^ab (coordinates of each
-    canonical generator's image, the abelianization group, and whether the
-    map is an isomorphism)."""
-
-    def __init__(self, matrix: IntMatrix, source: AbGroup, target: AbGroup,
-                 coords_of: tuple):
-        self.matrix = matrix
-        self.source = source
-        self.target = target
-        self.coords_of = coords_of
-
-    def apply(self, coords: Sequence[int]) -> Tuple[int, ...]:
-        vec = self.matrix @ np.array(list(coords), dtype=object)
-        return self.target.reduce_coords(vec)
-
-    def is_isomorphism(self) -> bool:
-        if self.source.order() != self.target.order():
-            return False
-        return _image_order(self.matrix, self.target) == self.target.order()
-
-
-def iota_abelianization(X, tz: Optional[TateGroups] = None) -> IotaMap:
+def iota_abelianization(X, tz: Optional[TateGroups] = None) -> AbMap:
     """H^{-2}(G, Z) -> G^ab via the augmentation ideal: a cocycle w on X^2
     produces the element h = -(w~ o d^1)(generator) of the augmentation
     ideal, whose coordinates map onto the abelianization.  The overall sign
@@ -749,10 +680,7 @@ def iota_abelianization(X, tz: Optional[TateGroups] = None) -> IotaMap:
             if h[g] and g != G.identity:
                 acc = acc + h[g] * np.array(coords_of[g], dtype=object)
         cols.append(ab.reduce_coords(acc))
-    matrix = zeros(ab.ngens, grp.ngens)
-    for i, c in enumerate(cols):
-        matrix[:, i] = np.array(c, dtype=object)
-    return IotaMap(matrix, grp, ab, coords_of)
+    return AbMap.from_columns(cols, grp, ab)
 
 
 # ---------------------------------------------------------------------------
@@ -882,10 +810,8 @@ def cone_les_check(X, C: GComplex, m: int, ilo: int = -2,
 
         inc = _postcompose_map(tC.total, tK.total, tri.inclusion, i, 0)
         proj = _postcompose_map(tK.total, tC.total, tri.projection, i, 1)
-        inc_cols = _induced_columns(tC, tK, inc, i, i)
-        proj_cols = _induced_columns(tK, tC, proj, i, i + 1)
-        im_inc = _image_order(inc_cols, tK.group(i))
-        im_proj = _image_order(proj_cols, tC.group(i + 1))
+        im_inc = induced_map(tC, tK, inc, i, i).image_order()
+        im_proj = induced_map(tK, tC, proj, i, i + 1).image_order()
         composite_zero = True
         for gi in range(tC.group(i).ngens):
             vec = proj @ (inc @ tC.representative(i, gi))
@@ -918,16 +844,12 @@ def _postcompose_map(total_src: TotalComplex, total_dst: TotalComplex,
     return out
 
 
-def _induced_columns(src: TateGroups, dst: TateGroups, cochain_map: IntMatrix,
-                     q_src: int, q_dst: int) -> IntMatrix:
-    cols = []
-    for i in range(src.group(q_src).ngens):
-        image = cochain_map @ src.representative(q_src, i)
-        cols.append(dst.classify(q_dst, image))
-    out = zeros(dst.group(q_dst).ngens, len(cols))
-    for i, c in enumerate(cols):
-        out[:, i] = np.array(c, dtype=object)
-    return out
+def induced_map(src: TateGroups, dst: TateGroups, cochain_map: IntMatrix,
+                q_src: int, q_dst: int) -> AbMap:
+    """The map H^{q_src} -> H^{q_dst} induced by a cochain map."""
+    cols = [dst.classify(q_dst, cochain_map @ src.representative(q_src, i))
+            for i in range(src.group(q_src).ngens)]
+    return AbMap.from_columns(cols, src.group(q_src), dst.group(q_dst))
 
 
 # ---------------------------------------------------------------------------
@@ -936,16 +858,26 @@ def _induced_columns(src: TateGroups, dst: TateGroups, cochain_map: IntMatrix,
 
 class DiagonalApproximation:
     """Components Delta_{a,b}: X^{a+b} -> X^a (x) X^b of a complete
-    diagonal, stored as generator matrices over a diamond |a|, |b|,
-    |a+b| <= depth, normalized by Delta_{0,0}(gen) = gen (x) gen.
+    diagonal for a cyclic group, stored as generator matrices over a
+    diamond |a|, |b|, |a+b| <= depth.
 
-    Computed by integer linear solving of the commuting equations
+    The components are written down in closed form (Cartan & Eilenberg,
+    Homological Algebra, XII.7).  Let T be the generator read off the
+    degree -1 differential, d(e) = T e - e.  On the resolution whose odd
+    differentials are T - 1 and whose even ones are the norm N,
+        a even:        Delta_{a,b}(e) = e (x) e,
+        a odd, b even: Delta_{a,b}(e) = e (x) T e,
+        a, b odd:      Delta_{a,b}(e) = sum_{0<=i<j<|G|} T^i e (x) T^j e.
+    In a complete resolution the odd differentials in positive degrees
+    are the duals T^{-1} - 1 instead.  Multiplication by the units
+    u_q = (-T^{-1})^{floor(q/2)} for q > 0 (u_q = 1 for q <= 0) carries
+    the first complex onto the second, so each component is transported:
+        Delta^X_{a,b}(e) = (u_a (x) u_b) u_{a+b}^{-1} Delta_{a,b}(e).
+    Resolutions with any other differential are refused up front.
+    verified lists the commuting equations
         (d (x) 1) Delta_{a-1,b} + (-1)^a (1 (x) d) Delta_{a,b-1}
-            = Delta_{a,b} o d,
-    level by level outward from total degree 0.  Only cyclic groups are
-    supported: their rank-1 resolutions keep the systems small, and every
-    bundled scenario that consumes a diagonal is cyclic.  verified lists
-    the equations checked by direct multiplication.
+            = Delta_{a,b} o d
+    checked by direct multiplication.
     """
 
     def __init__(self, X, depth: int):
@@ -965,184 +897,91 @@ class DiagonalApproximation:
         self.depth = depth
         self.gen: Dict[Tuple[int, int], IntMatrix] = {}
         self.verified: List[Tuple[int, int]] = []
-        self._build()
+        powers = self._generator_powers()
+        for t in range(-depth, depth + 1):
+            for (a, b) in self._pairs_at(t):
+                if G.order == 1:
+                    # X = X (x) X canonically; every component is the identity
+                    self.gen[(a, b)] = np.ones((1, 1), dtype=object)
+                else:
+                    self.gen[(a, b)] = self._closed_form(a, b, powers)
+        self._verify()
+
+    def _generator_powers(self) -> List[int]:
+        """T^0, ..., T^{|G|-1}, after checking that every differential in
+        the diamond is T - 1 (odd, below 0), N (even) or T^{-1} - 1 (odd,
+        above 0)."""
+        G = self.X.group
+        n, e = G.order, G.identity
+
+        def minus(g: int) -> List[int]:
+            return [int(k == g) - int(k == e) for k in range(n)]
+
+        def column(q: int) -> List[int]:
+            return [int(v) for v in self.X.diff_gen(q)[:, 0]]
+
+        # T is the element with d^{-1}(e) = T e - e
+        T = next((g for g in range(n) if column(-1) == minus(g)), e)
+        powers = [e]
+        for _ in range(n - 1):
+            powers.append(G.mul(T, powers[-1]))
+        ok = len(set(powers)) == n
+        for q in range(-self.depth, self.depth):
+            want = minus(T if q < 0 else G.inv(T)) if q % 2 else [1] * n
+            ok = ok and column(q) == want
+        if not ok:
+            raise ValidationError(
+                "diagonal approximation needs the differentials T - 1, N "
+                "and T^-1 - 1 of a periodic resolution; use the periodic "
+                "engine")
+        return powers
+
+    def _closed_form(self, a: int, b: int, powers: List[int]) -> IntMatrix:
+        n = len(powers)
+        if a % 2 == 0:
+            terms = [(0, 0)]
+        elif b % 2 == 0:
+            terms = [(0, 1)]
+        else:
+            terms = [(i, j) for j in range(n) for i in range(j)]
+        # u_q = (-1)^h T^{-h} with h = floor(q/2) for q > 0, else h = 0
+        ha, hb, ht = (q // 2 if q > 0 else 0 for q in (a, b, a + b))
+        sign = -1 if (ha + hb + ht) % 2 else 1
+        out = zeros(n * n, 1)
+        for i, j in terms:
+            left = powers[(i + ht - ha) % n]
+            right = powers[(j + ht - hb) % n]
+            out[left * n + right, 0] += sign
+        return out
 
     def _pairs_at(self, t: int) -> List[Tuple[int, int]]:
         D = self.depth
         return [(a, t - a) for a in range(-D, D + 1) if abs(t - a) <= D]
 
-    def _tensor_dim(self, a: int, b: int) -> int:
-        return self.X.zdim(a) * self.X.zdim(b)
-
-    def _tensor_act(self, a: int, b: int, sigma: int) -> IntMatrix:
-        Pa = _free_action_matrix(self.X.group, self.X.rank(a), sigma)
-        Pb = _free_action_matrix(self.X.group, self.X.rank(b), sigma)
-        return kron(Pa, Pb)
-
-    def _full(self, a: int, b: int) -> IntMatrix:
-        gen = self.gen[(a, b)]
-        n = self.X.group.order
-        dim, r = gen.shape
-        out = zeros(dim, r * n)
-        for sigma in range(n):
-            block = self._tensor_act(a, b, sigma) @ gen
-            for c in range(r):
-                out[:, c * n + sigma] = block[:, c]
-        return out
-
     def _lhs(self, a: int, b: int) -> IntMatrix:
         """(d (x) 1) Delta_{a-1,b} + (-1)^a (1 (x) d) Delta_{a,b-1}."""
         X = self.X
-        out = zeros(self._tensor_dim(a, b), X.rank(a + b - 1))
-        left = self.gen.get((a - 1, b))
-        if left is not None:
-            out += kron(X.full_diff(a - 1), eye(X.zdim(b))) @ left
-        right = self.gen.get((a, b - 1))
-        if right is not None:
-            s = -1 if a % 2 else 1
-            out += s * (kron(eye(X.zdim(a)), X.full_diff(b - 1)) @ right)
-        return out
+        out = kron(X.full_diff(a - 1), eye(X.zdim(b))) @ self.gen[(a - 1, b)]
+        s = -1 if a % 2 else 1
+        return out + s * (kron(eye(X.zdim(a)), X.full_diff(b - 1))
+                          @ self.gen[(a, b - 1)])
 
-    def _build(self) -> None:
+    def _verify(self) -> None:
         X = self.X
         G = X.group
-        e = G.identity
-        D = self.depth
-        # normalization at the center
-        center = zeros(self._tensor_dim(0, 0), X.rank(0))
-        center[e * X.zdim(0) + e, 0] = 1
-        self.gen[(0, 0)] = center
-        if G.order == 1:
-            # X = X (x) X canonically; every component is the identity
-            for t in range(-D, D + 1):
-                for p in self._pairs_at(t):
-                    self.gen.setdefault(p, center.copy())
-        else:
-            # joint solve for the rest of levels 0 and 1
-            self._solve_joint()
-            # upward: each component is pinned by its precomposition with d
-            for t in range(1, D):
-                for (a, b) in self._pairs_at(t + 1):
-                    self._solve_up(a, b)
-            # downward: whole levels at once
-            for t in range(0, -D, -1):
-                self._solve_level_down(t - 1)
-        # verify every interior equation
-        for t in range(-D + 1, D + 1):
+        acts = []
+        for sigma in range(G.order):
+            P = _free_action_matrix(G, 1, sigma)
+            acts.append(kron(P, P))
+        for t in range(-self.depth + 1, self.depth + 1):
             for (a, b) in self._pairs_at(t):
                 if (a - 1, b) in self.gen and (a, b - 1) in self.gen:
-                    lhs = self._lhs(a, b)
-                    rhs = self._full(a, b) @ X.diff_gen(t - 1)
-                    if not np.array_equal(lhs, rhs):
+                    full = equivariant_full(acts, self.gen[(a, b)])
+                    if not np.array_equal(self._lhs(a, b),
+                                          full @ X.diff_gen(t - 1)):
                         raise LiftingError(
                             "diagonal equation fails at (%d, %d)" % (a, b))
                     self.verified.append((a, b))
-
-    def _solve_up(self, a: int, b: int) -> None:
-        """Find Delta_{a,b} from Delta_{a,b} o d^{t-1} = known LHS."""
-        X = self.X
-        G = X.group
-        n = G.order
-        t = a + b
-        L = self._lhs(a, b)
-        dgen = X.diff_gen(t - 1)
-        r_src = X.rank(t - 1)
-        r_new = X.rank(t)
-        Z = self._tensor_dim(a, b)
-        A = zeros(r_src * Z, r_new * Z)
-        for row, col in zip(*np.nonzero(dgen)):
-            c, tau = divmod(int(row), n)
-            A[col * Z:(col + 1) * Z, c * Z:(c + 1) * Z] += \
-                dgen[row, col] * self._tensor_act(a, b, tau)
-        rhs = np.concatenate([L[:, i] for i in range(r_src)]) if r_src \
-            else np.zeros(0, dtype=object)
-        sol = LatticeSolver(A).solve(rhs)
-        if sol is None:
-            raise LiftingError("diagonal extension failed at (%d, %d)" % (a, b))
-        out = zeros(Z, r_new)
-        for c in range(r_new):
-            out[:, c] = sol[c * Z:(c + 1) * Z]
-        self.gen[(a, b)] = out
-
-    def _precompose_operator(self, a: int, b: int) -> IntMatrix:
-        """The matrix sending gen(Delta_{a,b}) to gen(Delta_{a,b} o d);
-        rank-one sources make this a square operator on the tensor term."""
-        X = self.X
-        n = X.group.order
-        dgen = X.diff_gen(a + b - 1)
-        dim = self._tensor_dim(a, b)
-        S = zeros(dim, dim)
-        for row in np.nonzero(dgen[:, 0])[0]:
-            tau = int(row) % n
-            S += dgen[row, 0] * self._tensor_act(a, b, tau)
-        return S
-
-    def _solve_joint(self) -> None:
-        """Levels 0 and 1 together: unknowns are all level-0 components
-        except the pinned center plus all level-1 components, constrained
-        by the level-1 equations whose neighbors lie in the diamond."""
-        unknowns = [p for p in self._pairs_at(0) if p != (0, 0)]
-        unknowns += self._pairs_at(1)
-        self._joint_solve(unknowns, targets=self._pairs_at(1))
-
-    def _solve_level_down(self, t: int) -> None:
-        """Solve all components at level t from the equations targeted one
-        level up (whose own components are already built)."""
-        self._joint_solve(self._pairs_at(t), targets=self._pairs_at(t + 1))
-
-    def _joint_solve(self, unknowns: List[Tuple[int, int]],
-                     targets: List[Tuple[int, int]]) -> None:
-        """One integer system over every listed unknown component.  Each
-        target (a, b) contributes the equation
-
-            (d (x) 1) Delta_{a-1,b} + (-1)^a (1 (x) d) Delta_{a,b-1}
-                - Delta_{a,b} o d = 0,
-
-        where any of the three components may be an unknown; targets with a
-        component outside the diamond are dropped (their equations cannot
-        be expressed, matching the truncation)."""
-        X = self.X
-        unknowns = [p for p in unknowns if p not in self.gen]
-        if not unknowns:
-            return
-        sizes = {p: self._tensor_dim(*p) for p in unknowns}
-        offsets = {}
-        pos = 0
-        for p in unknowns:
-            offsets[p] = pos
-            pos += sizes[p]
-        row_blocks = []
-        rows_total = 0
-        for (a, b) in targets:
-            terms = [
-                ((a - 1, b), kron(X.full_diff(a - 1), eye(X.zdim(b)))),
-                ((a, b - 1), (-1 if a % 2 else 1)
-                 * kron(eye(X.zdim(a)), X.full_diff(b - 1))),
-                ((a, b), -self._precompose_operator(a, b)),
-            ]
-            if any(p not in self.gen and p not in offsets for p, _ in terms):
-                continue
-            row_blocks.append(((a, b), terms))
-            rows_total += self._tensor_dim(a, b)
-        A = zeros(rows_total, pos)
-        rhs = np.zeros(rows_total, dtype=object)
-        row_at = 0
-        for key, terms in row_blocks:
-            dim = self._tensor_dim(*key)
-            for p, coef in terms:
-                if p in offsets:
-                    A[row_at:row_at + dim,
-                      offsets[p]:offsets[p] + sizes[p]] += coef
-                else:
-                    rhs[row_at:row_at + dim] -= coef @ self.gen[p][:, 0]
-            row_at += dim
-        sol = LatticeSolver(A).solve(rhs)
-        if sol is None:
-            raise LiftingError("joint diagonal solve failed")
-        for p in unknowns:
-            mat = zeros(sizes[p], 1)
-            mat[:, 0] = sol[offsets[p]:offsets[p] + sizes[p]]
-            self.gen[p] = mat
 
 
 def diagonal_approximation(X, depth: int) -> DiagonalApproximation:
@@ -1161,11 +1000,7 @@ def cup_via_diagonal(X, diag: DiagonalApproximation, C: GComplex,
                               "concentrated in degree 0")
     n = X.group.order
     M = C.term(0)
-    blk2 = tate.total.blocks[2][0]
-    alpha_gen = zeros(blk2.gens, blk2.rank)
-    for b in range(blk2.rank):
-        alpha_gen[:, b] = a_vec[blk2.offset + b * blk2.gens:
-                                blk2.offset + (b + 1) * blk2.gens]
+    alpha_gen = tate.total.blocks[2][0].gen_matrix(a_vec)
     delta = diag.gen[(-p, -2)]
     zb = X.zdim(-2)
     r_tgt = X.rank(-p - 2)
@@ -1179,7 +1014,5 @@ def cup_via_diagonal(X, diag: DiagonalApproximation, C: GComplex,
             if val:
                 phi[:, c] += val * (M.act(rho) @ alpha_gen[:, b_idx])
     vec = np.zeros(tate.total.dim[q], dtype=object)
-    blk = tate.total.blocks[q][0]
-    for b in range(blk.rank):
-        vec[blk.offset + b * blk.gens:blk.offset + (b + 1) * blk.gens] = phi[:, b]
+    tate.total.blocks[q][0].put(vec, phi)
     return tate.classify(q, vec)

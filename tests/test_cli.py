@@ -228,3 +228,33 @@ def test_console_script_is_wired():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "bundled scenarios" in proc.stdout
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away; fileno names a scratch file."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+def test_closed_pipe_exits_1_without_traceback(tmp_path):
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+    err = io.StringIO()
+    try:
+        with redirect_stdout(_ClosedPipe(fd)), redirect_stderr(err):
+            code = main(["demo", "cone-les-z2", "--format", "json"])
+        # the descriptor now points at devnull
+        os.write(fd, b"flushed at exit")
+    finally:
+        os.close(fd)
+    assert code == 1
+    assert err.getvalue() == ""
+    assert path.read_bytes() == b""

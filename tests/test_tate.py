@@ -548,3 +548,61 @@ class TestDiagonal:
                 neg = grp.reduce_coords(
                     -np.array(list(direct), dtype=object))
                 assert tuple(via) in (direct, tuple(neg))
+
+    @pytest.mark.parametrize("labels", [(2, 0, 3, 1), (3, 5, 0, 4, 1, 2)])
+    def test_closed_form_on_relabelled_tables(self, labels):
+        """Z/n with element k named labels[k]: the identity is not id 0
+        and the generator read off d^-1 is not id 1."""
+        from tateform.groups import from_table
+        from tateform.resolutions import periodic_resolution
+        from tateform.tate import cup_via_diagonal
+
+        n = len(labels)
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                table[labels[i]][labels[j]] = labels[(i + j) % n]
+        G = from_table(table)
+        X = complete_resolution(periodic_resolution(G, 6))
+        diag = diagonal_approximation(X, 4)
+        assert len(diag.verified) == 48
+        C = concentrate(zmodule(G), 0)
+        T = tate_hypercohomology(X, C, -2, 2)
+        a = T.class_at(2, (1,))
+        a_vec = T.element(2, a.coords)
+        for q in (-2, 0, 2):
+            p = q - 2
+            tz = tate_hypercohomology(X, C, p, p)
+            comp = cup_with(X, C, a, q, tate=T)
+            for i in range(tz.group(p).ngens):
+                via = cup_via_diagonal(X, diag, C, tz.representative(p, i),
+                                       p, a_vec, T, q)
+                direct = tuple(comp.matrix[:, i])
+                neg = T.group(q).reduce_coords(
+                    -np.array(list(direct), dtype=object))
+                assert tuple(via) in (direct, tuple(neg))
+
+    @staticmethod
+    def hand_built_z3(minus_entries):
+        """Rank-one resolution of Z/3 whose odd differentials carry the
+        given {element: coefficient} column and whose even ones are N."""
+        from tateform.resolutions import FreeResolution
+
+        G = make_cyclic(3)
+        minus = np.zeros((3, 1), dtype=object)
+        for g, c in minus_entries.items():
+            minus[g, 0] = c
+        norm = np.ones((3, 1), dtype=object)
+        dgens = [None] + [minus.copy() if i % 2 else norm.copy()
+                          for i in range(1, 7)]
+        aug = np.ones((1, 3), dtype=object)
+        return complete_resolution(FreeResolution(G, [1] * 7, dgens, aug))
+
+    def test_accepts_other_generator(self):
+        X = self.hand_built_z3({2: 1, 0: -1})  # sigma^2 - 1
+        assert len(diagonal_approximation(X, 4).verified) == 48
+
+    def test_refuses_unsupported_differential_up_front(self):
+        X = self.hand_built_z3({0: 1, 1: -1})  # 1 - sigma
+        with pytest.raises(ValidationError, match="periodic engine"):
+            diagonal_approximation(X, 4)
