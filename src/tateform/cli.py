@@ -472,7 +472,8 @@ def run_scenario(spec: ScenarioSpec) -> dict:
                                 "skipped": "formation verdict: "
                                            + formation_rep.verdict})
             else:
-                tab = norm_group_table(X, C, formation_rep.fundamental)
+                tab = norm_group_table(X, C, formation_rep.fundamental,
+                                       formation_rep.reciprocity)
                 results.append({
                     "analysis": "norm-table",
                     "rows": [{"subgroup": _int_list(e),

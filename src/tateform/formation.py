@@ -72,6 +72,7 @@ class FormationReport:
         self.candidates_tried = 0
         self.fundamental: Optional[TateClass] = None
         self.failure: Optional[str] = None
+        self.reciprocity: Optional[AbMap] = None
         self.reciprocity_matrix: Optional[IntMatrix] = None
         self.reciprocity_verdict: Optional[bool] = None
         self.h0_invariants: Optional[tuple] = None
@@ -165,6 +166,17 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
     # propagates to a full family or dies at the first subgroup where the
     # restriction drops order
     whole = data[whole_subgroup(G).elements]
+    rmats: Dict[Tuple[tuple, tuple], IntMatrix] = {}
+
+    def restriction(du: _SubgroupData, dv: _SubgroupData) -> IntMatrix:
+        # one matrix per nested pair U >= V: the candidate search and the
+        # audit below both restrict along the pairs through G
+        key = (du.sub.elements, dv.sub.elements)
+        if key not in rmats:
+            rmats[key] = restriction_blocks(du.model, dv.model, C,
+                                            du.tate.total, dv.tate.total, 2)
+        return rmats[key]
+
     if G.order == 1:
         candidates = [()]
     else:
@@ -181,9 +193,8 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
             if s.is_whole_group():
                 continue
             d = data[s.elements]
-            rmat = restriction_blocks(whole.model, d.model, C,
-                                      whole.tate.total, d.tate.total, 2)
-            u_H = d.tate.classify_class(2, rmat @ whole.tate.element(2, coords))
+            u_H = d.tate.classify_class(
+                2, restriction(whole, d) @ whole.tate.element(2, coords))
             if u_H.order != s.order:
                 good = False
                 break
@@ -204,10 +215,8 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
             if v.order >= u.order or not set(v.elements) <= set(u.elements):
                 continue
             du, dv = data[u.elements], data[v.elements]
-            rmat = restriction_blocks(du.model, dv.model, C,
-                                      du.tate.total, dv.tate.total, 2)
-            got = dv.tate.classify_class(
-                2, rmat @ du.tate.element(2, family[u.elements].coords))
+            cocycle = du.tate.element(2, family[u.elements].coords)
+            got = dv.tate.classify_class(2, restriction(du, dv) @ cocycle)
             ok = got.coords == family[v.elements].coords
             report.c3_rows.append((u.elements, v.elements, ok))
             if not ok and report.failure is None:
@@ -218,6 +227,7 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
 
     report.fundamental = family[whole_subgroup(G).elements]
     rec = reciprocity_map(X, C, report.fundamental)
+    report.reciprocity = rec
     report.reciprocity_matrix = rec.matrix
     report.reciprocity_verdict = rec.verdict
     report.h0_invariants = rec.source.invariants()
@@ -319,12 +329,15 @@ def _quotient_ab_factor(G: FiniteGroup, V: Subgroup):
     return abQ, P
 
 
-def norm_group_table(X, C: GComplex, u: TateClass) -> NormGroupTable:
+def norm_group_table(X, C: GComplex, u: TateClass,
+                     rec: Optional[AbMap] = None) -> NormGroupTable:
     """For each normal V: compare H^0(G, C)/cor(H^0(V, C)) with (G/V)^ab
     and verify that the reciprocity map of u induces an isomorphism
-    between them."""
+    between them.  ``rec``, when given, is reciprocity_map(X, C, u)
+    already computed (a passing FormationReport keeps it)."""
     G = X.group
-    rec = reciprocity_map(X, C, u)
+    if rec is None:
+        rec = reciprocity_map(X, C, u)
     h0 = rec.source
     ambient = tate_hypercohomology(X, C, 0, 0)
     table = NormGroupTable()

@@ -8,7 +8,11 @@ arbitrary precision and no floating point is ever involved.
 The Smith normal form here uses the minimal-absolute-value pivot with a
 fixed (row, column) tie-break, which keeps intermediate entries small at
 the sizes this package works at and makes every result reproducible bit
-for bit.
+for bit.  It carries only the transforms its caller names in ``need``
+(``kernel_basis`` reads V, ``lattice_basis`` U^-1, ``cokernel_structure``
+U and U^-1, ``LatticeSolver`` U and V); the others come back as 0 x 0
+arrays.  The pivot sequence does not depend on ``need``, so a carried
+transform is the same matrix whatever else is carried.
 """
 
 from __future__ import annotations
@@ -90,13 +94,18 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
+TRANSFORMS = ("u", "u_inv", "v", "v_inv")
+
+
 @dataclass
 class SnfResult:
     """U @ A @ V == S with U, V unimodular and S diagonal.
 
     ``diagonal`` is the full diagonal of S: nonnegative, each entry dividing
     the next, zeros trailing.  ``u_inv`` and ``v_inv`` are the exact inverses
-    of ``u`` and ``v`` (tracked during reduction, not recomputed).
+    of ``u`` and ``v`` (tracked during reduction, not recomputed).  A
+    transform the caller did not ask for (see ``smith_normal_form``'s
+    ``need``) is a 0 x 0 array.
     """
 
     u: IntMatrix
@@ -111,115 +120,131 @@ class SnfResult:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def smith_normal_form(a: IntMatrix) -> SnfResult:
+def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
     """Smith normal form over Z with minimal-absolute-value pivoting.
+
+    ``need`` names the transforms to carry, space separated, from
+    ``u u_inv v v_inv``; the others are not updated and come back as 0 x 0
+    arrays.  The pivot sequence depends only on ``a``, never on ``need``,
+    so ``s``, ``diagonal`` and every carried transform are the same as in
+    the full call.
 
     Ties between candidate pivots of equal absolute value break toward the
     smallest (row, column) pair, so the output is deterministic.
     """
+    wanted = set(need.split())
+    if not wanted <= set(TRANSFORMS):
+        raise ValueError("unknown transforms in need=%r" % need)
     s = a.astype(object).copy()
     m, n = s.shape
-    u, u_inv = eye(m), eye(m)
-    v, v_inv = eye(n), eye(n)
+    u = eye(m) if "u" in wanted else None
+    u_inv = eye(m) if "u_inv" in wanted else None
+    v = eye(n) if "v" in wanted else None
+    v_inv = eye(n) if "v_inv" in wanted else None
 
+    # Row and column operations at step t touch s only from column (row) t
+    # on, where t is the current pivot: everything before it is already
+    # zero in the rows (columns) they combine.
     def swap_rows(i, j):
         if i == j:
             return
         s[[i, j], :] = s[[j, i], :]
-        u[[i, j], :] = u[[j, i], :]
-        u_inv[:, [i, j]] = u_inv[:, [j, i]]
+        if u is not None:
+            u[[i, j], :] = u[[j, i], :]
+        if u_inv is not None:
+            u_inv[:, [i, j]] = u_inv[:, [j, i]]
 
     def swap_cols(i, j):
         if i == j:
             return
         s[:, [i, j]] = s[:, [j, i]]
-        v[:, [i, j]] = v[:, [j, i]]
-        v_inv[[i, j], :] = v_inv[[j, i], :]
+        if v is not None:
+            v[:, [i, j]] = v[:, [j, i]]
+        if v_inv is not None:
+            v_inv[[i, j], :] = v_inv[[j, i], :]
 
-    def row_add(i, t, q):
-        # row i += q * row t
-        s[i, :] += q * s[t, :]
-        u[i, :] += q * u[t, :]
-        u_inv[:, t] -= q * u_inv[:, i]
+    def row_add(i, k, q):
+        # row i += q * row k
+        s[i, t:] += q * s[k, t:]
+        if u is not None:
+            u[i, :] += q * u[k, :]
+        if u_inv is not None:
+            u_inv[:, k] -= q * u_inv[:, i]
 
-    def col_add(j, t, q):
-        # col j += q * col t
-        s[:, j] += q * s[:, t]
-        v[:, j] += q * v[:, t]
-        v_inv[t, :] -= q * v_inv[j, :]
+    def col_add(j, k, q):
+        # col j += q * col k
+        s[t:, j] += q * s[t:, k]
+        if v is not None:
+            v[:, j] += q * v[:, k]
+        if v_inv is not None:
+            v_inv[k, :] -= q * v_inv[j, :]
 
     def negate_row(i):
         s[i, :] = -s[i, :]
-        u[i, :] = -u[i, :]
-        u_inv[:, i] = -u_inv[:, i]
+        if u is not None:
+            u[i, :] = -u[i, :]
+        if u_inv is not None:
+            u_inv[:, i] = -u_inv[:, i]
 
     def find_pivot(t):
-        """Smallest |entry| in s[t:, t:], ties by (row, col)."""
-        best = None
-        for i in range(t, m):
-            row = s[i, t:]
-            nz = np.nonzero(row)[0]
-            for j0 in nz:
-                val = abs(row[j0])
-                key = (val, i, t + int(j0))
-                if best is None or key < best:
-                    best = key
-                    if val == 1:
-                        return best  # cannot improve
-        return best
+        """(row, col) of the smallest |entry| in s[t:, t:], ties by
+        (row, col): the first minimum in row-major order."""
+        rest = s[t:, t:]
+        rows, cols = np.nonzero(rest)
+        if not len(rows):
+            return None
+        k = int(np.argmin(np.abs(rest[rows, cols])))
+        return t + int(rows[k]), t + int(cols[k])
 
     t = 0
     while t < min(m, n):
         best = find_pivot(t)
         if best is None:
             break
-        _, pi, pj = best
+        pi, pj = best
         swap_rows(t, pi)
         swap_cols(t, pj)
         while True:
-            # Clear column t.  Remainders become new, smaller pivots.
+            # Clear column t.  Remainders become new, smaller pivots.  Only
+            # row i changes when row i is reduced, so the nonzero rows found
+            # up front stay the rows to visit until the pivot moves.
             restart = False
-            for i in range(t + 1, m):
+            for i in np.nonzero(s[t + 1:, t])[0] + (t + 1):
+                q = s[i, t] // s[t, t]
+                row_add(i, t, -q)
                 if s[i, t] != 0:
-                    q = s[i, t] // s[t, t]
-                    row_add(i, t, -q)
-                    if s[i, t] != 0:
-                        swap_rows(t, i)
-                        restart = True
-                        break
+                    swap_rows(t, i)
+                    restart = True
+                    break
             if restart:
                 continue
-            for j in range(t + 1, n):
+            for j in np.nonzero(s[t, t + 1:])[0] + (t + 1):
+                q = s[t, j] // s[t, t]
+                col_add(j, t, -q)
                 if s[t, j] != 0:
-                    q = s[t, j] // s[t, t]
-                    col_add(j, t, -q)
-                    if s[t, j] != 0:
-                        swap_cols(t, j)
-                        restart = True
-                        break
+                    swap_cols(t, j)
+                    restart = True
+                    break
             if restart:
                 continue
             # Row and column are clear; enforce divisibility into the rest.
+            # The offender is the first row with an entry d does not divide.
             d = s[t, t]
-            offender = None
-            for i in range(t + 1, m):
-                row = s[i, t + 1 :]
-                nz = np.nonzero(row)[0]
-                for j0 in nz:
-                    if row[j0] % d != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            if abs(d) == 1:
                 break
-            row_add(t, offender, 1)
+            bad = np.nonzero(s[t + 1:, t + 1:] % d)[0]
+            if not len(bad):
+                break
+            row_add(t, t + 1 + int(bad[0]), 1)
         if s[t, t] < 0:
             negate_row(t)
         t += 1
 
+    def carried(x):
+        return zeros(0, 0) if x is None else x
+
     diag = tuple(int(s[i, i]) for i in range(min(m, n)))
-    return SnfResult(u, u_inv, s, v, v_inv, diag)
+    return SnfResult(carried(u), carried(u_inv), s, carried(v), carried(v_inv), diag)
 
 
 def gcd_minors_diagonal(a: IntMatrix) -> tuple[int, ...]:
@@ -280,11 +305,13 @@ class LatticeSolver:
 
     Treats A's columns as generators of a sublattice of Z^m and solves
     A x = b exactly, reporting None when no integer solution exists.
+    ``snf``, when given, is an elimination of A already at hand that
+    carries at least ``u`` and ``v``; otherwise A is factored here.
     """
 
-    def __init__(self, a: IntMatrix):
+    def __init__(self, a: IntMatrix, snf: Optional[SnfResult] = None):
         self.a = a
-        self.snf = smith_normal_form(a)
+        self.snf = snf if snf is not None else smith_normal_form(a, need="u v")
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
         snf = self.snf
@@ -324,7 +351,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     The basis columns extend to a basis of the full ambient Z^n, so every
     integer kernel element is a unique integer combination of them.
     """
-    snf = smith_normal_form(a)
+    snf = smith_normal_form(a, need="v")
     return snf.v[:, snf.rank :]
 
 
@@ -332,13 +359,14 @@ def lattice_basis(gens: IntMatrix) -> IntMatrix:
     """A basis (independent columns) for the lattice spanned by ``gens``."""
     if gens.shape[1] == 0:
         return zeros(gens.shape[0], 0)
-    snf = smith_normal_form(gens)
-    cols = []
-    for i in range(snf.rank):
-        cols.append((snf.u_inv[:, i] * snf.diagonal[i]).reshape(-1, 1))
-    if not cols:
-        return zeros(gens.shape[0], 0)
-    return hstack(cols)
+    return span_basis(smith_normal_form(gens, need="u_inv"))
+
+
+def span_basis(snf: SnfResult) -> IntMatrix:
+    """The lattice basis U^-1 * diagonal read off an elimination of the
+    generators that carries ``u_inv``."""
+    r = snf.rank
+    return snf.u_inv[:, :r] * np.array(snf.diagonal[:r], dtype=object)
 
 
 def solve(a: IntMatrix, b: np.ndarray) -> Optional[np.ndarray]:
@@ -461,7 +489,7 @@ def cokernel_structure(a: IntMatrix) -> AbGroup:
     invariant factors classifies any ambient x.
     """
     m = a.shape[0]
-    snf = smith_normal_form(a)
+    snf = smith_normal_form(a, need="u u_inv")
     torsion_idx = [i for i, d in enumerate(snf.diagonal) if d >= 2]
     free_idx = [i for i, d in enumerate(snf.diagonal) if d == 0] + list(
         range(len(snf.diagonal), m)

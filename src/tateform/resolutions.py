@@ -23,6 +23,8 @@ from .intlinalg import (
     is_zero,
     kernel_basis,
     lattice_basis,
+    smith_normal_form,
+    span_basis,
     zeros,
 )
 
@@ -228,9 +230,12 @@ def peeled_resolution(G: FiniteGroup, length: int,
                 continue
             chosen.append(v)
             orbit = free_full_matrix(G, prev_rank, v)
-            span = orbit if span is None else hstack([span, orbit])
-            span = lattice_basis(span)
-            solver = LatticeSolver(span)
+            gens = orbit if span is None else hstack([span, orbit])
+            # one elimination gives both the new basis and the solver;
+            # membership does not depend on which generators span the lattice
+            snf = smith_normal_form(gens, need="u u_inv v")
+            span = span_basis(snf)
+            solver = LatticeSolver(gens, snf)
         r = max(len(chosen), 1)
         if r > rank_cap:
             raise CapExceeded("peeled rank %d exceeds cap %d" % (r, rank_cap))

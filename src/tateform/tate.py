@@ -105,6 +105,7 @@ class TotalComplex:
         self.blocks: Dict[int, List[HomBlock]] = {}
         self.dim: Dict[int, int] = {}
         self.rel: Dict[int, IntMatrix] = {}
+        self._rel_solvers: Dict[int, LatticeSolver] = {}
         for q in range(qlo - 1, qhi + 2):
             blocks = []
             offset = 0
@@ -161,7 +162,10 @@ class TotalComplex:
         rel = self.rel[q]
         if rel.shape[1] == 0:
             return is_zero(cols)
-        return LatticeSolver(rel).solve_matrix(cols) is not None
+        solver = self._rel_solvers.get(q)
+        if solver is None:
+            solver = self._rel_solvers[q] = LatticeSolver(rel)
+        return solver.solve_matrix(cols) is not None
 
     def homology(self, q: int) -> Subquotient:
         if not self.qlo <= q <= self.qhi:

@@ -1,0 +1,198 @@
+"""Work that is carried or repeated only where a caller reads it.
+
+smith_normal_form carries only the transforms named in ``need``; the
+results must be byte-identical to the full elimination.  The peeled
+resolutions are pinned by digests taken before the peel shared one
+elimination between its span basis and its membership solver, and the
+formation layer's repeated maps are counted through wrappers.
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+from functools import reduce
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tateform import cli, formation, groups
+from tateform.formation import check_class_formation
+from tateform.gmodules import zmodule
+from tateform.gcomplexes import concentrate
+from tateform.intlinalg import TRANSFORMS, eye, intmat, smith_normal_form
+from tateform.resolutions import (
+    complete_resolution,
+    peeled_resolution,
+    periodic_resolution,
+)
+
+NEEDS = [" ".join(c) for r in range(len(TRANSFORMS) + 1)
+         for c in combinations(TRANSFORMS, r)]
+
+
+@st.composite
+def int_matrices(draw):
+    m = draw(st.integers(min_value=0, max_value=6))
+    n = draw(st.integers(min_value=0, max_value=6))
+    entries = st.integers(min_value=-12, max_value=12)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return np.array(rows, dtype=object).reshape(m, n)
+
+
+def loop_snf(a):
+    """The elimination with per-row Python scans for the pivot and the
+    divisibility check, carrying all four transforms: the reference that
+    the vectorised scans must follow choice for choice."""
+    s = a.astype(object).copy()
+    m, n = s.shape
+    u, u_inv, v, v_inv = eye(m), eye(m), eye(n), eye(n)
+
+    def swap_rows(i, j):
+        s[[i, j], :] = s[[j, i], :]
+        u[[i, j], :] = u[[j, i], :]
+        u_inv[:, [i, j]] = u_inv[:, [j, i]]
+
+    def swap_cols(i, j):
+        s[:, [i, j]] = s[:, [j, i]]
+        v[:, [i, j]] = v[:, [j, i]]
+        v_inv[[i, j], :] = v_inv[[j, i], :]
+
+    def row_add(i, k, q):
+        s[i, :] += q * s[k, :]
+        u[i, :] += q * u[k, :]
+        u_inv[:, k] -= q * u_inv[:, i]
+
+    def col_add(j, k, q):
+        s[:, j] += q * s[:, k]
+        v[:, j] += q * v[:, k]
+        v_inv[k, :] -= q * v_inv[j, :]
+
+    t = 0
+    while t < min(m, n):
+        cands = [(abs(s[i, j]), i, j) for i in range(t, m)
+                 for j in range(t, n) if s[i, j] != 0]
+        if not cands:
+            break
+        _, pi, pj = min(cands)
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        while True:
+            moved = False
+            for i in range(t + 1, m):
+                if s[i, t] != 0:
+                    row_add(i, t, -(s[i, t] // s[t, t]))
+                    if s[i, t] != 0:
+                        swap_rows(t, i)
+                        moved = True
+                        break
+            if moved:
+                continue
+            for j in range(t + 1, n):
+                if s[t, j] != 0:
+                    col_add(j, t, -(s[t, j] // s[t, t]))
+                    if s[t, j] != 0:
+                        swap_cols(t, j)
+                        moved = True
+                        break
+            if moved:
+                continue
+            offenders = [i for i in range(t + 1, m)
+                         if any(x % s[t, t] for x in s[i, t + 1:])]
+            if not offenders:
+                break
+            row_add(t, offenders[0], 1)
+        if s[t, t] < 0:
+            s[t, :], u[t, :], u_inv[:, t] = -s[t, :], -u[t, :], -u_inv[:, t]
+        t += 1
+    return u, u_inv, s, v, v_inv
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_vectorised_scans_follow_the_loop_reference(a):
+    got = smith_normal_form(a)
+    for name, want in zip(("u", "u_inv", "s", "v", "v_inv"), loop_snf(a)):
+        part = getattr(got, name)
+        assert part.shape == want.shape and np.array_equal(part, want), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_every_need_subset_matches_the_full_elimination(a):
+    full = smith_normal_form(a)
+    for need in NEEDS:
+        got = smith_normal_form(a, need=need)
+        assert got.diagonal == full.diagonal
+        assert got.s.shape == full.s.shape and np.array_equal(got.s, full.s)
+        for name in TRANSFORMS:
+            part, whole = getattr(got, name), getattr(full, name)
+            if name in need.split():
+                assert part.shape == whole.shape
+                assert np.array_equal(part, whole)
+            else:
+                assert part.shape == (0, 0)
+
+
+def test_unknown_transform_is_refused():
+    with pytest.raises(ValueError):
+        smith_normal_form(intmat([[1]]), need="v w")
+
+
+def _digest(res):
+    payload = json.dumps(
+        {"ranks": res.ranks,
+         "dgens": [None if d is None else [[int(x) for x in row] for row in d]
+                   for d in res.dgens]},
+        separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def test_peeled_resolutions_are_pinned():
+    # digests of the resolutions built with a lattice_basis and a fresh
+    # LatticeSolver after every chosen vector
+    c2 = groups.make_cyclic(2)
+    s4 = peeled_resolution(groups.symmetric_group(4), 5)
+    c2cubed = peeled_resolution(reduce(groups.direct_product, [c2, c2, c2]), 5)
+    assert s4.ranks == [1, 3, 6, 9, 12, 18]
+    assert c2cubed.ranks == [1, 3, 6, 10, 16, 24]
+    assert _digest(s4) == (
+        "8083496147273fb1eef39a01da0d944e362f16d008470fcbf27985910446b3ed")
+    assert _digest(c2cubed) == (
+        "fa05b261d1f4fb03d8e8bef24b43a1385d35b1e1d15142a9e5187ed098e1a358")
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_norm_table_reuses_the_formation_reciprocity_map(monkeypatch):
+    calls = _counting(monkeypatch, formation, "reciprocity_map")
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["demo", "unramified-cyclic-4-norm-table",
+                         "--format", "json"]) == 0
+    assert len(calls) == 1
+
+
+def test_each_restriction_matrix_is_built_once(monkeypatch):
+    G = groups.make_cyclic(12)
+    X = complete_resolution(periodic_resolution(G, 4))
+    calls = _counting(monkeypatch, formation, "restriction_blocks")
+    report = check_class_formation(X, concentrate(zmodule(G), 0))
+    assert report.passed
+    # one per nested pair of the six subgroups; the five through G are
+    # shared by the candidate search and the audit
+    assert len(report.c3_rows) == 12
+    assert len(calls) == 12
