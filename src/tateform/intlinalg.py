@@ -83,14 +83,17 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
 
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Kronecker product, exact."""
+    """Kronecker product, exact.  Visits only the nonzero entries of ``a``.
+
+    kron(eye(n), b) is block_diag([b] * n), which builds no n x n identity.
+    """
     ra, ca = a.shape
     rb, cb = b.shape
     out = zeros(ra * rb, ca * cb)
-    for i in range(ra):
-        for j in range(ca):
-            if a[i, j] != 0:
-                out[i * rb : (i + 1) * rb, j * cb : (j + 1) * cb] = a[i, j] * b
+    if out.size == 0:
+        return out
+    for i, j in zip(*np.nonzero(a)):
+        out[i * rb : (i + 1) * rb, j * cb : (j + 1) * cb] = a[i, j] * b
     return out
 
 

@@ -116,7 +116,7 @@ class TotalComplex:
             self.blocks[q] = blocks
             self.dim[q] = offset
             self.rel[q] = block_diag(
-                [kron(eye(b.rank), C.term(b.j).relators) for b in blocks]
+                [block_diag([C.term(b.j).relators] * b.rank) for b in blocks]
             ) if blocks else zeros(0, 0)
         self.diff: Dict[int, IntMatrix] = {}
         for q in range(qlo - 1, qhi + 1):
@@ -135,7 +135,7 @@ class TotalComplex:
             # vertical: postcompose with the coefficient differential
             tgt = dst_by_j.get(b.j + 1)
             if tgt is not None and tgt.gens:
-                sub = kron(eye(b.rank), self.C.diff(b.j))
+                sub = block_diag([self.C.diff(b.j)] * b.rank)
                 D[tgt.offset:tgt.offset + tgt.dim,
                   b.offset:b.offset + b.dim] += sub
             # horizontal: precompose with the resolution differential
@@ -844,7 +844,7 @@ def _postcompose_map(total_src: TotalComplex, total_dst: TotalComplex,
         if comp is None or comp.shape != (tgt.gens, b.gens):
             continue
         out[tgt.offset:tgt.offset + tgt.dim,
-            b.offset:b.offset + b.dim] += kron(eye(b.rank), comp)
+            b.offset:b.offset + b.dim] += block_diag([comp] * b.rank)
     return out
 
 
