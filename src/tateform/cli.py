@@ -214,8 +214,12 @@ def _parse_coefficients(doc, group):
             action = t["action"]
             if not isinstance(action, list):
                 _fail(tpath + ".action", "expected a list of matrices")
-            action = [_need_matrix(a, tpath + ".action[%d]" % g) if gens else a
-                      for g, a in enumerate(action)]
+            for g, a in enumerate(action):
+                apath = tpath + ".action[%d]" % g
+                if gens:
+                    _need_matrix(a, apath)
+                elif a != []:
+                    _fail(apath, "expected [] for a term with no generators")
             parsed_terms.append({"gens": gens,
                                  "relators": [list(r) for r in rel],
                                  "action": action})

@@ -21,21 +21,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .gcomplexes import GComplex
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    abelianization,
-    all_subgroups,
-    quotient_group,
-    whole_subgroup,
-)
+from .groups import Subgroup, abelianization, all_subgroups, whole_subgroup
 from .intlinalg import (
     AbGroup,
     AbMap,
     IntMatrix,
     LatticeSolver,
     cokernel_structure,
-    eye,
     hstack,
     zeros,
 )
@@ -305,40 +297,32 @@ class NormGroupTable:
         return out
 
 
-def _quotient_ab_factor(G: FiniteGroup, V: Subgroup):
-    """(G/V)^ab together with the matrix expressing the projection
-    G^ab -> (G/V)^ab on canonical generators."""
-    Q, proj = quotient_group(G, V)
-    abG, coordsG = abelianization(G)
-    abQ, coordsQ = abelianization(Q)
-    n = G.order
-    A = zeros(abG.ngens, n)
-    B = zeros(abQ.ngens, n)
-    for g in range(n):
-        A[:, g] = np.array(coordsG[g], dtype=object)
-        B[:, g] = np.array(coordsQ[proj[g]], dtype=object)
-    invQ = abQ.invariants()
-    P = zeros(abQ.ngens, abG.ngens)
-    for i in range(abQ.ngens):
-        system = hstack([A.T, invQ[i] * eye(n)])
-        sol = LatticeSolver(system).solve(B[i, :])
-        if sol is None:
-            raise ValidationError("abelianization projection has no "
-                                  "integral matrix; inconsistent quotient")
-        P[i, :] = sol[:abG.ngens]
-    return abQ, P
+def quotient_abelianization(abG: AbGroup, coords: tuple,
+                            V: Subgroup) -> AbGroup:
+    """(G/V)^ab for normal V, as G^ab modulo the image of V.
+
+    ``abG, coords`` is abelianization(G).  The result is the cokernel of
+    V's element coordinates next to the relations of G^ab, so its
+    reduce_map is the projection G^ab -> (G/V)^ab on canonical
+    coordinates."""
+    image = zeros(abG.ngens, V.order)
+    for k, v in enumerate(V.elements):
+        image[:, k] = np.array(coords[v], dtype=object)
+    return cokernel_structure(hstack([image, abG.relations()]))
 
 
 def norm_group_table(X, C: GComplex, u: TateClass,
                      rec: Optional[AbMap] = None) -> NormGroupTable:
     """For each normal V: compare H^0(G, C)/cor(H^0(V, C)) with (G/V)^ab
-    and verify that the reciprocity map of u induces an isomorphism
-    between them.  ``rec``, when given, is reciprocity_map(X, C, u)
-    already computed (a passing FormationReport keeps it)."""
+    = G^ab / im V and verify that the reciprocity map of u induces an
+    isomorphism between them.  ``rec``, when given, is
+    reciprocity_map(X, C, u) already computed (a passing FormationReport
+    keeps it)."""
     G = X.group
     if rec is None:
         rec = reciprocity_map(X, C, u)
     h0 = rec.source
+    abG, coords = abelianization(G)
     ambient = tate_hypercohomology(X, C, 0, 0)
     table = NormGroupTable()
     for V in all_subgroups(G):
@@ -348,8 +332,8 @@ def norm_group_table(X, C: GComplex, u: TateClass,
         cor_cols = pair.cor_matrix(0)
         quot = cokernel_structure(
             hstack([cor_cols, h0.relations()])).invariants()
-        abQ, P = _quotient_ab_factor(G, V)
-        induced = AbMap(P @ rec.matrix, h0, abQ)
+        abQ = quotient_abelianization(abG, coords, V)
+        induced = AbMap(abQ.reduce_map @ rec.matrix, h0, abQ)
         kills = all(not any(induced.apply(cor_cols[:, j]))
                     for j in range(cor_cols.shape[1]))
         surj = induced.image_order() == abQ.order()

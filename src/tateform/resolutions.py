@@ -55,6 +55,29 @@ def free_full_matrix(G: FiniteGroup, rank_target: int, gen: IntMatrix) -> IntMat
     return out
 
 
+def dual_gen(G: FiniteGroup, rank_target: int, gen: IntMatrix) -> IntMatrix:
+    """Generator matrix of the Z-dual of the map Z[G]^r -> Z[G]^s with
+    generator matrix gen: the columns (b, e) of the transposed full matrix.
+
+    Entry ((b, sigma), (a, e)) of the transpose is entry ((a, e), (b, sigma))
+    of the full matrix, which the block permutation takes from
+    gen[(a, sigma^-1), b].  So column a of the dual lists those entries over
+    the rows (b, sigma), and the full matrix is never built.  Dualizing
+    twice gives gen back: dual_gen(G, r, dual_gen(G, s, gen)) == gen.
+    """
+    n = G.order
+    rows, r = gen.shape
+    if rows != rank_target * n:
+        raise ValidationError(
+            "generator matrix has %d rows, expected %d" % (rows, rank_target * n)
+        )
+    inv = np.asarray([G.inv(sigma) for sigma in range(n)], dtype=np.intp)
+    out = zeros(r * n, rank_target)
+    for a in range(rank_target):
+        out[:, a] = gen[a * n + inv, :].T.reshape(-1)
+    return out
+
+
 class FreeResolution:
     """A finite-length free resolution P_N -> ... -> P_1 -> P_0 -> Z -> 0.
 
@@ -311,9 +334,7 @@ class CompleteResolution:
             cols = [b * n + e for b in range(self.res.ranks[0])]
             gen = full0[:, cols]
         else:
-            fullT = self.res.full(q).T
-            cols = [b * n + e for b in range(self.res.ranks[q - 1])]
-            gen = fullT[:, cols]
+            gen = dual_gen(self.group, self.res.ranks[q - 1], self.res.d_gen(q))
         self._gen_cache[q] = gen
         return gen
 

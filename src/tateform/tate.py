@@ -25,9 +25,8 @@ import numpy as np
 from .classical import cochain_cohomology, h0, h_minus1
 from .errors import LiftingError, ValidationError, WindowError
 from .gcomplexes import GComplex, concentrate, cone_of_mult
-from .gmodules import GModule, restrict_module, zmodule
+from .gmodules import GModule, regular_module, restrict_module, zmodule
 from .groups import (
-    FiniteGroup,
     Subgroup,
     abelianization,
     all_subgroups,
@@ -48,7 +47,7 @@ from .intlinalg import (
     preimage_lattice,
     zeros,
 )
-from .resolutions import free_full_matrix
+from .resolutions import dual_gen, free_full_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +503,6 @@ def corestriction(X, X_H: SubgroupResolution, C: GComplex,
 # chain-map lifting and cup products
 
 
-def _free_action_matrix(G: FiniteGroup, rank: int, sigma: int) -> IntMatrix:
-    n = G.order
-    P = zeros(rank * n, rank * n)
-    for a in range(rank):
-        for tau in range(n):
-            P[a * n + G.table[sigma][tau], a * n + tau] = 1
-    return P
-
-
 def equivariant_full(acts: Sequence[IntMatrix], gen: IntMatrix) -> IntMatrix:
     """Full Z-matrix of an equivariant map Z[G]^r -> M from its generator
     matrix, where acts[sigma] is the action of sigma on M."""
@@ -533,9 +523,14 @@ class ShiftLift:
     Components Xi^(s): X^s -> X^{s+p} satisfy
         Xi^(s+1) o d^s = (-1)^p d^{s+p} o Xi^(s),
     anchored at s = -p by Xi(gen b) = w_b e_{(0, e)}, so that the
-    augmentation recovers w.  Both extension directions are integer linear
-    solves whose solvability is guaranteed by exactness and freeness;
-    failure raises LiftingError since it indicates corrupted input.
+    augmentation recovers w.  Downward, Xi^(s) solves d^{s+p} o Xi^(s) =
+    (-1)^p Xi^(s+1) o d^s on generators.  Upward is the same lift on
+    transposes: the transpose of an equivariant map between free modules
+    is equivariant, with generator matrix dual_gen, so Xi^(s+1) is the
+    dual of the solution of (d^s)^T o Y = ((-1)^p d^{s+p} o Xi^(s))^T.
+    Exactness and freeness make both solvable; failure raises LiftingError
+    since it indicates corrupted input, and every chain square is checked
+    after construction.
     """
 
     def __init__(self, X, w: np.ndarray, p: int, s_lo: int, s_hi: int):
@@ -570,32 +565,15 @@ class ShiftLift:
                                 self.gen[s])
 
     def _extend_up(self, s: int, sign: int) -> IntMatrix:
+        # Xi^(s+1) o d^s = L, transposed: (d^s)^T o Xi^(s+1)^T = L^T
         X = self.X
         G = X.group
-        n = G.order
         L = sign * (X.full_diff(s + self.p) @ self.gen[s])
-        dgen = X.diff_gen(s)
-        r_src = X.rank(s)
-        r_new = X.rank(s + 1)
-        Z = X.zdim(s + 1 + self.p)
-        rank_tensor = X.rank(s + 1 + self.p)
-        A = zeros(r_src * Z, r_new * Z)
-        acts: Dict[int, IntMatrix] = {}
-        for row, col in zip(*np.nonzero(dgen)):
-            c, tau = divmod(int(row), n)
-            if tau not in acts:
-                acts[tau] = _free_action_matrix(G, rank_tensor, tau)
-            A[col * Z:(col + 1) * Z, c * Z:(c + 1) * Z] += \
-                dgen[row, col] * acts[tau]
-        b = np.concatenate([L[:, i] for i in range(r_src)]) if r_src else \
-            np.zeros(0, dtype=object)
-        sol = LatticeSolver(A).solve(b)
+        rhs = dual_gen(G, X.rank(s + 1 + self.p), L)
+        sol = LatticeSolver(X.full_diff(s).T).solve_matrix(rhs)
         if sol is None:
             raise LiftingError("upward chain extension failed at %d" % (s + 1))
-        out = zeros(Z, r_new)
-        for c in range(r_new):
-            out[:, c] = sol[c * Z:(c + 1) * Z]
-        return out
+        return dual_gen(G, X.rank(s + 1), sol)
 
 
 def cup_with(X, C: GComplex, a: TateClass, q: int,
@@ -973,10 +951,7 @@ class DiagonalApproximation:
     def _verify(self) -> None:
         X = self.X
         G = X.group
-        acts = []
-        for sigma in range(G.order):
-            P = _free_action_matrix(G, 1, sigma)
-            acts.append(kron(P, P))
+        acts = [kron(P, P) for P in regular_module(G).action]
         for t in range(-self.depth + 1, self.depth + 1):
             for (a, b) in self._pairs_at(t):
                 if (a - 1, b) in self.gen and (a, b - 1) in self.gen:

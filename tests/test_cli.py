@@ -147,6 +147,21 @@ class TestExitCodes:
         assert code == 1
         assert "analyses[0].kind" in err
 
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_zero_generator_term_needs_empty_actions(self, tmp_path, verb):
+        doc = minimal_doc(
+            group={"kind": "cyclic", "n": 2},
+            coefficients={"kind": "complex", "lo": 0, "terms": [
+                {"gens": 0, "action": [["x"], ["y"]]}]},
+            analyses=[{"kind": "tate", "range": [0, 0]}])
+        p = tmp_path / "zero.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = invoke([verb, str(p)])
+        assert code == 1
+        assert "parse error" in err
+        assert "coefficients.terms[0].action[0]" in err
+        assert "Traceback" not in err
+
     def test_invalid_json_file(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{nope")

@@ -2,8 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
+from tateform import formation
 from tateform.errors import ValidationError
 from tateform.formation import (
     DENSE_NOTE,
@@ -11,14 +13,18 @@ from tateform.formation import (
     check_class_formation,
     fundamental_class,
     norm_group_table,
+    quotient_abelianization,
     reciprocity_map,
 )
 from tateform.gcomplexes import concentrate, tensor_power_shifted
 from tateform.gmodules import finite_field_units, regular_module, zmodule
 from tateform.groups import (
+    abelianization,
     all_subgroups,
+    commutator_subgroup,
     direct_product,
     make_cyclic,
+    quotient_group,
     symmetric_group,
 )
 from tateform.resolutions import (
@@ -299,3 +305,43 @@ class TestNormGroups:
             for t in quot:
                 size *= t
             assert size == G.order // len(elems)
+
+    def test_one_abelianization_per_table(self, monkeypatch):
+        # every quotient is read off G^ab; none is abelianized afresh
+        G, X, C = cyclic_setup(12)
+        rep = formation_report(12)
+        calls = []
+
+        def counted(H):
+            calls.append(H.order)
+            return abelianization(H)
+
+        monkeypatch.setattr(formation, "abelianization", counted)
+        tab = norm_group_table(X, C, rep.fundamental, rep.reciprocity)
+        assert tab.passed and len(tab.rows) == 6
+        assert calls == [12]
+
+
+_C2 = make_cyclic(2)
+
+
+@pytest.mark.parametrize("G", [
+    symmetric_group(3),
+    symmetric_group(4),
+    direct_product(_C2, make_cyclic(4)),
+    direct_product(_C2, direct_product(_C2, _C2)),
+], ids=["S3", "S4", "C2xC4", "C2^3"])
+def test_quotient_abelianization_matches_quotient_group(G):
+    abG, coords = abelianization(G)
+    D = commutator_subgroup(G).elements
+    for V in all_subgroups(G):
+        if not V.is_normal:
+            continue
+        abQ = quotient_abelianization(abG, coords, V)
+        ref, _ = abelianization(quotient_group(G, V)[0])
+        assert abQ.invariants() == ref.invariants(), V.elements
+        # the projection G -> (G/V)^ab vanishes exactly on V[G, G]
+        kernel = {G.mul(v, d) for v in V.elements for d in D}
+        for g in range(G.order):
+            image = abQ.classify(np.array(coords[g], dtype=object))
+            assert (not any(image)) == (g in kernel), (V.elements, g)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tateform.errors import CapExceeded, ValidationError
 from tateform.groups import direct_product, make_cyclic, symmetric_group
@@ -9,6 +11,7 @@ from tateform.intlinalg import LatticeSolver, intmat, is_zero, kernel_basis, lat
 from tateform.resolutions import (
     bar_resolution,
     complete_resolution,
+    dual_gen,
     free_full_matrix,
     peeled_resolution,
     periodic_resolution,
@@ -33,6 +36,41 @@ class TestFreeFullMatrix:
         for t in range(3):
             P[(t + 1) % 3, t] = 1
         assert np.array_equal(full, P - np.eye(3, dtype=object))
+
+
+_DUAL_GROUPS = [make_cyclic(1), make_cyclic(4), symmetric_group(3),
+                direct_product(make_cyclic(2), make_cyclic(2))]
+
+
+@st.composite
+def generator_matrices(draw):
+    G = draw(st.sampled_from(_DUAL_GROUPS))
+    s = draw(st.integers(min_value=1, max_value=3))
+    r = draw(st.integers(min_value=0, max_value=3))
+    entries = draw(st.lists(st.integers(min_value=-4, max_value=4),
+                            min_size=s * G.order * r,
+                            max_size=s * G.order * r))
+    return G, s, np.array(entries, dtype=object).reshape(s * G.order, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_matrices())
+def test_dual_gen_is_the_transposed_full_matrix(data):
+    G, s, gen = data
+    n, e = G.order, G.identity
+    r = gen.shape[1]
+    dual = dual_gen(G, s, gen)
+    cols = [a * n + e for a in range(s)]
+    assert np.array_equal(dual, free_full_matrix(G, s, gen).T[:, cols])
+    # the transpose of an equivariant map is equivariant
+    assert np.array_equal(free_full_matrix(G, r, dual),
+                          free_full_matrix(G, s, gen).T)
+    assert np.array_equal(dual_gen(G, r, dual), gen)
+
+
+def test_dual_gen_checks_shape():
+    with pytest.raises(ValidationError):
+        dual_gen(make_cyclic(3), 2, intmat([[1], [0], [0]]))
 
 
 class TestBar:
@@ -143,13 +181,18 @@ class TestComplete:
         assert np.array_equal(X.full_diff(0), intmat([[1, 1], [1, 1]]))
 
     def test_dual_gen_matches_full_transpose(self):
-        res = periodic_resolution(make_cyclic(4), 3)
-        X = complete_resolution(res)
-        for q in (1, 2):
-            fullT = res.full(q).T
-            gen = X.diff_gen(q)
-            for b in range(res.ranks[q - 1]):
-                assert np.array_equal(gen[:, b], fullT[:, b * 4])
+        # reference: generator columns (b, e) of the transposed full matrix
+        C2 = make_cyclic(2)
+        for res in (periodic_resolution(make_cyclic(4), 3),
+                    periodic_resolution(make_cyclic(6), 4),
+                    peeled_resolution(symmetric_group(3), 4),
+                    peeled_resolution(direct_product(C2, C2), 4),
+                    bar_resolution(make_cyclic(3), 3)):
+            X = complete_resolution(res)
+            n, e = res.group.order, res.group.identity
+            for q in range(1, X.window):
+                cols = [b * n + e for b in range(res.ranks[q - 1])]
+                assert np.array_equal(X.diff_gen(q), res.full(q).T[:, cols])
 
     def test_window_bounds(self):
         X = complete_resolution(periodic_resolution(make_cyclic(2), 2))

@@ -26,8 +26,13 @@ from tateform.groups import (
     whole_subgroup,
 )
 from tateform.intlinalg import intmat
-from tateform.resolutions import complete_resolution, resolution_for
+from tateform.resolutions import (
+    complete_resolution,
+    free_full_matrix,
+    resolution_for,
+)
 from tateform.tate import (
+    ShiftLift,
     SubgroupPair,
     SubgroupResolution,
     TotalComplex,
@@ -377,6 +382,52 @@ class TestCupProducts:
                 right = cupH.apply(
                     zpair.res_class(zpair.tate_G.class_at(q - 2, coords)).coords)
                 assert left.coords == tuple(right)
+
+
+_LIFT_SETUPS = {
+    "periodic-Z4": lambda: cyclic_setup(4),
+    "periodic-Z6": lambda: cyclic_setup(6),
+    "peeled-S3": s3_setup,
+    "peeled-C2xC2": klein_setup,
+    "bar-Z3": lambda: cyclic_setup(3, 4, "bar"),
+}
+
+
+class TestUpwardLift:
+    """ShiftLift above its anchor, where each component is the transposed
+    downward lift."""
+
+    @pytest.mark.parametrize("p", [-2, 0, 2])
+    @pytest.mark.parametrize("name", sorted(_LIFT_SETUPS))
+    def test_chain_squares_commute(self, name, p):
+        G, X = _LIFT_SETUPS[name]()
+        tz = tate_hypercohomology(X, concentrate(zmodule(G), 0), p, p)
+        sign = -1 if p % 2 else 1
+        s_hi = -p + 2
+        for i in range(tz.group(p).ngens):
+            xi = ShiftLift(X, tz.representative(p, i), p, -p, s_hi)
+            assert sorted(xi.gen) == list(range(-p, s_hi + 1))
+            for s in range(-p, s_hi):
+                # full matrices on both sides, not the generator shortcut
+                up = free_full_matrix(G, X.rank(s + 1 + p), xi.gen[s + 1])
+                here = free_full_matrix(G, X.rank(s + p), xi.gen[s])
+                assert np.array_equal(up @ X.full_diff(s),
+                                      sign * (X.full_diff(s + p) @ here)), s
+
+    @pytest.mark.parametrize("name, n, coords, want", [
+        # computed with the dense equivariant solve the transposed lift
+        # replaced; cup classes do not depend on the chosen lift
+        ("periodic-Z4", 4, (3,), {-1: [[]], 0: [[3]], 1: [[]], 2: [[3]]}),
+        ("peeled-S3", 2, (1,), {-1: [[]], 0: [[1]], 1: [[]], 2: [[1]]}),
+    ])
+    def test_cup_on_degree_three_module(self, name, n, coords, want):
+        # C in degree 3 puts every cup lift above its anchor
+        G, X = _LIFT_SETUPS[name]()
+        C = concentrate(trivial_cyclic(G, n), 3)
+        for q in range(-1, 3):
+            T = tate_hypercohomology(X, C, min(q, 2), max(q, 2))
+            cup = cup_with(X, C, T.class_at(2, coords), q, tate=T)
+            assert cup.matrix.tolist() == want[q], q
 
 
 class TestIota:
