@@ -102,7 +102,13 @@ def _need_keys(doc, path, required, optional=()):
             _fail("%s.%s" % (path, key), "unknown key")
 
 
-def _need_matrix(doc, path):
+def _need_matrix(doc, path, shape=None):
+    """A non-empty list of equal-length integer rows; with ``shape``, a
+    rows x cols matrix, written [] when it has no rows."""
+    if shape is not None and shape[0] == 0:
+        if doc != []:
+            _fail(path, "expected [] for a matrix with no rows")
+        return doc
     if not isinstance(doc, list) or not doc or \
             not all(isinstance(r, list) for r in doc):
         _fail(path, "expected a non-empty list of rows")
@@ -113,10 +119,14 @@ def _need_matrix(doc, path):
         for j, x in enumerate(row):
             if not isinstance(x, int) or isinstance(x, bool):
                 _fail("%s[%d][%d]" % (path, i, j), "expected an integer")
+    if shape is not None and (len(doc), width) != shape:
+        _fail(path, "expected a %d x %d matrix, got %d x %d"
+              % (shape + (len(doc), width)))
     return doc
 
 
 def _parse_group(doc, max_order):
+    """The normalized group description and the group's order."""
     doc = _need_dict(doc, "group")
     kind = doc.get("kind")
     if kind not in GROUP_KINDS:
@@ -153,7 +163,7 @@ def _parse_group(doc, max_order):
     if order > max_order:
         _fail("group", "order %d exceeds the configured cap %d "
               "(options.max_order)" % (order, max_order))
-    return out
+    return out, order
 
 
 def _parse_module_desc(doc, path, allow_explicit=True):
@@ -179,7 +189,7 @@ def _parse_module_desc(doc, path, allow_explicit=True):
           % ("/".join(COEFF_KINDS), kind))
 
 
-def _parse_coefficients(doc, group):
+def _parse_coefficients(doc, group, order):
     doc = _need_dict(doc, "coefficients")
     kind = doc.get("kind")
     if kind == "tensor-power-shift":
@@ -212,14 +222,11 @@ def _parse_coefficients(doc, group):
                               "relator length %d, expected %d"
                               % (len(row), gens))
             action = t["action"]
-            if not isinstance(action, list):
-                _fail(tpath + ".action", "expected a list of matrices")
+            if not isinstance(action, list) or len(action) != order:
+                _fail(tpath + ".action", "expected a list of %d matrices, "
+                      "one per group element" % order)
             for g, a in enumerate(action):
-                apath = tpath + ".action[%d]" % g
-                if gens:
-                    _need_matrix(a, apath)
-                elif a != []:
-                    _fail(apath, "expected [] for a term with no generators")
+                _need_matrix(a, tpath + ".action[%d]" % g, (gens, gens))
             parsed_terms.append({"gens": gens,
                                  "relators": [list(r) for r in rel],
                                  "action": action})
@@ -229,8 +236,9 @@ def _parse_coefficients(doc, group):
         if len(diffs) != max(len(parsed_terms) - 1, 0):
             _fail("coefficients.diffs", "need %d differentials for %d terms"
                   % (max(len(parsed_terms) - 1, 0), len(parsed_terms)))
-        diffs = [_need_matrix(d, "coefficients.diffs[%d]" % i)
-                 for i, d in enumerate(diffs)]
+        for i, d in enumerate(diffs):
+            _need_matrix(d, "coefficients.diffs[%d]" % i,
+                         (parsed_terms[i + 1]["gens"], parsed_terms[i]["gens"]))
         out = {"kind": kind, "lo": lo, "terms": parsed_terms, "diffs": diffs}
     else:
         out = _parse_module_desc(doc, "coefficients")
@@ -291,8 +299,8 @@ def parse_scenario(document) -> ScenarioSpec:
                        "options.window", 1)
     max_order = _need_int(options.get("max_order", DEFAULT_MAX_ORDER),
                           "options.max_order", 1)
-    group = _parse_group(doc["group"], max_order)
-    coefficients = _parse_coefficients(doc["coefficients"], group)
+    group, order = _parse_group(doc["group"], max_order)
+    coefficients = _parse_coefficients(doc["coefficients"], group, order)
     analyses_doc = doc["analyses"]
     if not isinstance(analyses_doc, list) or not analyses_doc:
         _fail("analyses", "expected a non-empty list")
@@ -349,7 +357,8 @@ def _build_coefficients(G: FiniteGroup, desc: dict) -> GComplex:
             rel = intmat(t["relators"]).T if t["relators"] else zeros(gens, 0)
             action = [intmat(a) for a in t["action"]]
             terms.append(GModule(G, rel, action))
-        diffs = [intmat(d) for d in desc["diffs"]]
+        diffs = [intmat(d).reshape(terms[i + 1].gens, terms[i].gens)
+                 for i, d in enumerate(desc["diffs"])]
         return GComplex(G, desc["lo"], terms, diffs)
     return concentrate(_build_module(G, desc), desc["shift"])
 

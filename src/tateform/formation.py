@@ -28,6 +28,7 @@ from .intlinalg import (
     IntMatrix,
     LatticeSolver,
     cokernel_structure,
+    eye,
     hstack,
     zeros,
 )
@@ -249,17 +250,15 @@ def _invert_on_groups(matrix: IntMatrix, source: AbGroup,
     """A right inverse of an isomorphism of finite abelian groups given by
     a coordinate matrix; columns answer 'which source class maps to this
     target generator'."""
-    solver = LatticeSolver(hstack([matrix, target.relations()]))
+    sol = LatticeSolver(hstack([matrix, target.relations()])).solve(
+        eye(target.ngens))
+    if sol is None:
+        raise ValidationError(
+            "cup map is not invertible; Tate-Nakayama should forbid this")
     out = zeros(source.ngens, target.ngens)
     for i in range(target.ngens):
-        e = np.zeros(target.ngens, dtype=object)
-        e[i] = 1
-        sol = solver.solve(e)
-        if sol is None:
-            raise ValidationError(
-                "cup map is not invertible; Tate-Nakayama should forbid this")
         out[:, i] = np.array(
-            source.reduce_coords(sol[:source.ngens]), dtype=object)
+            source.reduce_coords(sol[:source.ngens, i]), dtype=object)
     return out
 
 

@@ -24,7 +24,8 @@ class GComplex:
 
     Validation checks that each differential is equivariant and that
     consecutive differentials compose to zero, both modulo the relators of
-    the target term.
+    the target term: one solve per degree for each law, over all group
+    elements at once.
     """
 
     def __init__(
@@ -62,16 +63,15 @@ class GComplex:
                     f"differential at degree {q} has shape {d.shape}, "
                     f"expected ({tgt.gens}, {src.gens})"
                 )
-            rel = LatticeSolver(tgt.relators)
-            for g in range(self.group.order):
-                if rel.solve_matrix(d @ src.act(g) - tgt.act(g) @ d) is None:
-                    raise ValidationError(
-                        f"differential at degree {q} is not equivariant for element {g}"
-                    )
+            g = LatticeSolver(tgt.relators).first_outside(
+                [d @ src.act(h) - tgt.act(h) @ d for h in range(self.group.order)])
+            if g is not None:
+                raise ValidationError(
+                    f"differential at degree {q} is not equivariant for element {g}"
+                )
         for q in range(self.lo, self.hi - 1):
             comp = self._diffs[q + 1 - self.lo] @ self._diffs[q - self.lo]
-            rel = LatticeSolver(self.term(q + 2).relators)
-            if rel.solve_matrix(comp) is None:
+            if not LatticeSolver(self.term(q + 2).relators).contains(comp):
                 raise ValidationError(f"d o d is nonzero at degree {q}")
 
     def term(self, q: int) -> GModule:

@@ -5,8 +5,11 @@ columns) together with one integer action matrix per group element.  The
 constructor validates that the matrices really define an action on the
 quotient: relators are preserved, the identity acts as the identity, and
 the matrices compose along the multiplication table, all modulo relators.
-Invertibility of each action matrix follows from those two laws, so it is
-not checked separately.
+Each law is one integer solve against the relators over the blocks of all
+its instances side by side (every A_a A_b - A_ab at once); the blocks are
+searched for the offender only when that solve fails.  Invertibility of
+each action matrix follows from the last two laws, so it is not checked
+separately.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .intlinalg import (
     IntMatrix,
     LatticeSolver,
     Subquotient,
+    block_diag,
     cokernel_structure,
     eye,
     hstack,
@@ -61,23 +65,24 @@ class GModule:
                     f"expected ({self.gens}, {self.gens})"
                 )
         rel = LatticeSolver(self.relators)
-        for g, mat in enumerate(self.action):
-            if rel.solve_matrix(mat @ self.relators) is None:
-                raise ValidationError(
-                    f"module {self.name}: action of element {g} does not preserve relators"
-                )
+        g = rel.first_outside([mat @ self.relators for mat in self.action])
+        if g is not None:
+            raise ValidationError(
+                f"module {self.name}: action of element {g} does not preserve relators"
+            )
         e = self.group.identity
-        if rel.solve_matrix(self.action[e] - eye(self.gens)) is None:
+        if not rel.contains(self.action[e] - eye(self.gens)):
             raise ValidationError(
                 f"module {self.name}: identity does not act as the identity"
             )
-        for a in range(n):
-            for b in range(n):
-                diff = self.action[a] @ self.action[b] - self.action[self.group.mul(a, b)]
-                if rel.solve_matrix(diff) is None:
-                    raise ValidationError(
-                        f"module {self.name}: action matrices do not compose at ({a}, {b})"
-                    )
+        acts = self.action
+        pair = rel.first_outside([acts[a] @ acts[b] - acts[self.group.mul(a, b)]
+                                  for a in range(n) for b in range(n)])
+        if pair is not None:
+            a, b = divmod(pair, n)
+            raise ValidationError(
+                f"module {self.name}: action matrices do not compose at ({a}, {b})"
+            )
 
     def act(self, g: int) -> IntMatrix:
         return self.action[g]
@@ -96,11 +101,8 @@ class GModule:
 
 def trivial_module(G: FiniteGroup, ab: AbGroup, name: Optional[str] = None) -> GModule:
     """The abelian group ``ab`` with every group element acting trivially."""
-    k = ab.ngens
-    rel = zeros(k, len(ab.torsion))
-    for i, t in enumerate(ab.torsion):
-        rel[i, i] = t
-    action = [eye(k) for _ in range(G.order)]
+    rel = ab.relations()[:, :len(ab.torsion)]
+    action = [eye(ab.ngens) for _ in range(G.order)]
     return GModule(G, rel, action, name=name or f"triv({ab.describe()})")
 
 
@@ -156,10 +158,7 @@ def finite_field_units(p: int, f: int, n: int) -> GModule:
 def normalized(M: GModule) -> GModule:
     """The same module on the canonical (invariant-factor) presentation."""
     ab = cokernel_structure(M.relators)
-    k = ab.ngens
-    rel = zeros(k, len(ab.torsion))
-    for i, t in enumerate(ab.torsion):
-        rel[i, i] = t
+    rel = ab.relations()[:, :len(ab.torsion)]
     action = []
     for g in range(M.group.order):
         mat = ab.reduce_map @ M.act(g) @ ab.basis_lift
@@ -226,8 +225,6 @@ def fixed_points_subquotient(M: GModule) -> Subquotient:
         stacked_a = vstack(blocks_a)
         stacked_r = zeros(stacked_a.shape[0], 0)
         if any(b.shape[1] for b in blocks_r):
-            from .intlinalg import block_diag
-
             stacked_r = block_diag(blocks_r)
         fixed = preimage_lattice(stacked_a, stacked_r)
     return Subquotient(fixed, M.relators)
@@ -249,8 +246,6 @@ def direct_sum(M: GModule, N: GModule) -> GModule:
     """M + N with block-diagonal relators and action."""
     if M.group is not N.group:
         raise ValidationError("direct sum of modules over different groups")
-    from .intlinalg import block_diag
-
     rel = block_diag([M.relators, N.relators])
     action = [block_diag([M.act(g), N.act(g)]) for g in range(M.group.order)]
     return GModule(M.group, rel, action, name=f"({M.name})+({N.name})")

@@ -35,7 +35,8 @@ class FiniteGroup:
     3
     """
 
-    __slots__ = ("order", "table", "identity", "name", "_inverse", "_subgroup_memo")
+    __slots__ = ("order", "table", "identity", "name", "_inverse", "_subgroup_memo",
+                 "_abelianization")
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G"):
         n = len(table)
@@ -336,7 +337,11 @@ def abelianization(G: FiniteGroup) -> tuple[AbGroup, tuple]:
     generator e_x per element x of Q with relators e_x + e_y - e_{xy}; the
     cokernel of that relator matrix is exactly Q.  The second return value
     maps each element id of G to the canonical coordinates of its class.
+    The result is kept on G, so each group object is abelianized once.
     """
+    memo = getattr(G, "_abelianization", None)
+    if memo is not None:
+        return memo
     D = commutator_subgroup(G)
     Q, proj_q = quotient_group(G, D)
     m = Q.order
@@ -354,4 +359,5 @@ def abelianization(G: FiniteGroup) -> tuple[AbGroup, tuple]:
         v = zeros(m, 1)[:, 0]
         v[proj_q[g]] = 1
         coords.append(ab.classify(v))
-    return ab, tuple(coords)
+    G._abelianization = (ab, tuple(coords))
+    return G._abelianization

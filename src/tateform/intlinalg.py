@@ -13,6 +13,12 @@ for bit.  It carries only the transforms its caller names in ``need``
 U and U^-1, ``LatticeSolver`` U and V); the others come back as 0 x 0
 arrays.  The pivot sequence does not depend on ``need``, so a carried
 transform is the same matrix whatever else is carried.
+
+``LatticeSolver.solve`` is the package's one integer solve.  It answers a
+vector or a whole matrix of right-hand sides in one pass through a cached
+factorization, so a law with many instances (a module axiom over every
+pair of group elements, say) is one solve over the instances side by side;
+``first_outside`` names the failing instance only after that solve fails.
 """
 
 from __future__ import annotations
@@ -306,46 +312,44 @@ def _det(rows: list[list[int]]) -> int:
 class LatticeSolver:
     """Cached SNF of a matrix A, answering integer solvability questions.
 
-    Treats A's columns as generators of a sublattice of Z^m and solves
-    A x = b exactly, reporting None when no integer solution exists.
-    ``snf``, when given, is an elimination of A already at hand that
-    carries at least ``u`` and ``v``; otherwise A is factored here.
+    Treats A's columns as generators of a sublattice of Z^m.  ``solve``
+    answers A x = b for a vector or A X = B for a whole matrix in one
+    pass through the factorization U A V = S: c = U b, one divisibility
+    test on the first r = rank rows, one zero test on the rest, and
+    x = V[:, :r] (c[:r] / d).  ``snf``, when given, is an elimination of A
+    already at hand that carries at least ``u`` and ``v``; otherwise A is
+    factored here.
     """
 
     def __init__(self, a: IntMatrix, snf: Optional[SnfResult] = None):
-        self.a = a
         self.snf = snf if snf is not None else smith_normal_form(a, need="u v")
+        r = self.snf.rank
+        self._d = np.array(self.snf.diagonal[:r], dtype=object)
+        self._v = self.snf.v[:, :r]
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
-        snf = self.snf
-        m, n = self.a.shape
-        c = snf.u @ b
-        y = np.zeros(n, dtype=object)
-        for i in range(m):
-            d = snf.diagonal[i] if i < len(snf.diagonal) else 0
-            if d != 0:
-                if c[i] % d != 0:
-                    return None
-                if i < n:
-                    y[i] = c[i] // d
-            else:
-                if c[i] != 0:
-                    return None
-        return snf.v @ y
-
-    def solve_matrix(self, b: IntMatrix) -> Optional[IntMatrix]:
-        cols = []
-        for j in range(b.shape[1]):
-            x = self.solve(b[:, j])
-            if x is None:
-                return None
-            cols.append(x.reshape(-1, 1))
-        if not cols:
-            return zeros(self.a.shape[1], 0)
-        return hstack(cols)
+        """The integer x with A x = b, column by column when b is a matrix
+        (x then has one column per column of b), or None when some column
+        has no integer solution."""
+        c = self.snf.u @ b
+        d = self._d if b.ndim == 1 else self._d[:, None]
+        r = len(d)
+        if np.count_nonzero(c[:r] % d) or np.count_nonzero(c[r:]):
+            return None
+        return self._v @ (c[:r] // d)
 
     def contains(self, b: np.ndarray) -> bool:
+        """Whether b (every column of b, for a matrix) lies in the lattice."""
         return self.solve(b) is not None
+
+    def first_outside(self, blocks: Sequence[IntMatrix]) -> Optional[int]:
+        """Index of the first block with a column outside the lattice, or
+        None when every column of every block lies in it.  One solve over
+        the blocks side by side; they are scanned one by one only after
+        that solve has failed, to name the offender."""
+        if not blocks or self.contains(hstack(blocks)):
+            return None
+        return next(i for i, blk in enumerate(blocks) if not self.contains(blk))
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -558,7 +562,7 @@ class Subquotient:
     def __init__(self, numerator_basis: IntMatrix, denominator: IntMatrix):
         self.numerator_basis = numerator_basis
         self._num_solver = LatticeSolver(numerator_basis)
-        w = self._num_solver.solve_matrix(denominator)
+        w = self._num_solver.solve(denominator)
         if w is None:
             raise ExactnessError("denominator does not lie in the numerator lattice")
         coker = cokernel_structure(w)

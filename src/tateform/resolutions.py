@@ -147,11 +147,7 @@ class FreeResolution:
 def _same_lattice(A: IntMatrix, B: IntMatrix) -> bool:
     if A.shape[0] != B.shape[0]:
         return False
-    sa = LatticeSolver(A)
-    if sa.solve_matrix(B) is None:
-        return False
-    sb = LatticeSolver(B)
-    return sb.solve_matrix(A) is not None
+    return LatticeSolver(A).contains(B) and LatticeSolver(B).contains(A)
 
 
 def bar_resolution(G: FiniteGroup, length: int, cap: int = BAR_CAP) -> FreeResolution:

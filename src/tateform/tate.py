@@ -47,7 +47,12 @@ from .intlinalg import (
     preimage_lattice,
     zeros,
 )
-from .resolutions import dual_gen, free_full_matrix
+from .resolutions import (
+    CompleteResolution,
+    FreeResolution,
+    dual_gen,
+    free_full_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +164,12 @@ class TotalComplex:
 
     def _in_relator_span(self, q: int, cols: IntMatrix) -> bool:
         rel = self.rel[q]
-        if rel.shape[1] == 0:
+        if rel.shape[1] == 0 or cols.shape[1] == 0:
             return is_zero(cols)
         solver = self._rel_solvers.get(q)
         if solver is None:
             solver = self._rel_solvers[q] = LatticeSolver(rel)
-        return solver.solve_matrix(cols) is not None
+        return solver.contains(cols)
 
     def homology(self, q: int) -> Subquotient:
         if not self.qlo <= q <= self.qhi:
@@ -215,11 +220,10 @@ class TateGroups:
             if not sq.group.is_finite:
                 raise ValidationError(
                     "Tate group at degree %d came out infinite" % q)
-            for i in range(sq.group.ngens):
-                image = total.diff[q] @ sq.representative(i)
-                if not total._in_relator_span(q + 1, image.reshape(-1, 1)):
-                    raise ValidationError(
-                        "representative at degree %d is not a cocycle" % q)
+            if not total._in_relator_span(q + 1,
+                                          total.diff[q] @ sq.group.basis_lift):
+                raise ValidationError(
+                    "representative at degree %d is not a cocycle" % q)
             self._sub[q] = sq
 
     def degrees(self) -> range:
@@ -294,7 +298,7 @@ def remark_agreement(X, M: GModule, qlo: int = -1, qhi: int = 2):
 # subgroup models
 
 
-class SubgroupResolution:
+class SubgroupResolution(CompleteResolution):
     """A complete resolution for G, viewed as one for a subgroup H.
 
     Z[G] restricted to H is free with basis any right transversal of H\\G,
@@ -302,20 +306,20 @@ class SubgroupResolution:
     Z-basis: the G-index (a, sigma) with sigma = h_i g_k becomes the
     H-index (a t + k, i).  Generator b of the H-model at each degree is the
     pair (a, k) -> b = a t + k, whose underlying element is (a, g_k).
+    The model is the complete resolution of the relabeled free resolution
+    over H; its positive half, the dual over H, is the relabeled dual over
+    G because the relabeling is a permutation of the Z-basis.
     """
 
-    def __init__(self, X, H: Subgroup):
+    def __init__(self, X: CompleteResolution, H: Subgroup):
         G = X.group
         Hgrp, embed = H.as_group()
         self.parent = X
         self.subgroup = H
-        self.group = Hgrp
-        self.window = X.window
         self.embed = embed
         self.transversal = right_transversal(G, H)
         n = G.order
         m = Hgrp.order
-        t = len(self.transversal)
         local = [-1] * n
         for k, gk in enumerate(self.transversal):
             for i in range(m):
@@ -323,48 +327,34 @@ class SubgroupResolution:
         if any(v < 0 for v in local):
             raise ValidationError("transversal does not cover the group")
         self._local = np.asarray(local, dtype=np.intp)
-        self._gen_cache: Dict[int, IntMatrix] = {}
-        self._full_cache: Dict[int, IntMatrix] = {}
+        res = X.res
+        t = self.index
+        dgens = [None] + [self._relabel(res.d_gen(i))
+                          for i in range(1, len(res.ranks))]
+        aug = np.full((1, res.ranks[0] * n), 1, dtype=object)
+        super().__init__(FreeResolution(Hgrp, [r * t for r in res.ranks],
+                                        dgens, aug, res.engine))
 
     @property
     def index(self) -> int:
         return len(self.transversal)
 
-    def rank(self, q: int) -> int:
-        return self.parent.rank(q) * self.index
-
-    def zdim(self, q: int) -> int:
-        return self.parent.zdim(q)
-
-    @property
-    def eps(self) -> IntMatrix:
-        return np.full((1, self.zdim(0)), 1, dtype=object)
-
-    def diff_gen(self, q: int) -> IntMatrix:
-        if q in self._gen_cache:
-            return self._gen_cache[q]
+    def _relabel(self, gen: IntMatrix) -> IntMatrix:
+        """The H-generator matrix of the G-map with generator matrix gen:
+        column a t + k is column a translated by g_k, its rows relabeled
+        into the H-layout."""
         G = self.parent.group
         n = G.order
         t = self.index
-        parent_gen = self.parent.diff_gen(q)
-        rank_tgt = self.parent.rank(q + 1)
-        rows = self.zdim(q + 1)
-        out = zeros(rows, self.rank(q))
-        base = np.repeat(np.arange(rank_tgt) * n, n)
+        rows, r = gen.shape
+        out = zeros(rows, r * t)
+        base = np.repeat(np.arange(rows // n) * n, n)
         for k, gk in enumerate(self.transversal):
-            # translate by g_k, then relabel rows into the H-layout
-            comp = self._local[np.asarray(G.table[gk], dtype=np.intp)]
-            perm = base + np.tile(comp, rank_tgt)
-            for a in range(parent_gen.shape[1]):
-                out[perm, a * t + k] = parent_gen[:, a]
-        self._gen_cache[q] = out
+            perm = base + np.tile(
+                self._local[np.asarray(G.table[gk], dtype=np.intp)], rows // n)
+            for a in range(r):
+                out[perm, a * t + k] = gen[:, a]
         return out
-
-    def full_diff(self, q: int) -> IntMatrix:
-        if q not in self._full_cache:
-            self._full_cache[q] = free_full_matrix(
-                self.group, self.rank(q + 1), self.diff_gen(q))
-        return self._full_cache[q]
 
 
 def restrict_resolution(X, H: Subgroup) -> SubgroupResolution:
@@ -547,8 +537,7 @@ class ShiftLift:
         self.gen: Dict[int, IntMatrix] = {-p: anchor}
         for s in range(-p - 1, s_lo - 1, -1):
             rhs = sign * (self._full(s + 1) @ X.diff_gen(s))
-            solver = LatticeSolver(X.full_diff(s + p))
-            sol = solver.solve_matrix(rhs)
+            sol = LatticeSolver(X.full_diff(s + p)).solve(rhs)
             if sol is None:
                 raise LiftingError("downward chain extension failed at %d" % s)
             self.gen[s] = sol
@@ -570,7 +559,7 @@ class ShiftLift:
         G = X.group
         L = sign * (X.full_diff(s + self.p) @ self.gen[s])
         rhs = dual_gen(G, X.rank(s + 1 + self.p), L)
-        sol = LatticeSolver(X.full_diff(s).T).solve_matrix(rhs)
+        sol = LatticeSolver(X.full_diff(s).T).solve(rhs)
         if sol is None:
             raise LiftingError("upward chain extension failed at %d" % (s + 1))
         return dual_gen(G, X.rank(s + 1), sol)

@@ -34,5 +34,7 @@ def test_tracer_installs_counts_and_uninstalls():
     assert tate.TotalComplex.__dict__["__init__"] is init
     assert metrics["intlinalg.snf.calls"] > 0
     assert metrics["intlinalg.snf.transform_cells"] > 0
+    # every integer solve goes through the traced LatticeSolver.solve
+    assert metrics["intlinalg.solver.solve_calls"] > 0
     assert metrics["tate.cone.calls"] > 0
     assert metrics["cli.render.s"] > 0

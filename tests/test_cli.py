@@ -162,6 +162,40 @@ class TestExitCodes:
         assert "coefficients.terms[0].action[0]" in err
         assert "Traceback" not in err
 
+    ONE = {"gens": 1, "action": [[[1]], [[1]]]}
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("terms, diffs, field", [
+        ([{"gens": 1, "action": [[[1, 0]], [[1, 0]]]}], [],
+         "coefficients.terms[0].action[0]"),
+        ([{"gens": 1, "action": [[[1]]]}], [],
+         "coefficients.terms[0].action"),
+        ([ONE, ONE], [[[1, 2]]], "coefficients.diffs[0]"),
+    ], ids=["wide-action", "one-action-for-z2", "wide-diff"])
+    def test_matrix_shapes_are_checked(self, tmp_path, verb, terms, diffs,
+                                       field):
+        doc = minimal_doc(
+            group={"kind": "cyclic", "n": 2},
+            coefficients={"kind": "complex", "lo": 0, "terms": terms,
+                          "diffs": diffs},
+            analyses=[{"kind": "tate", "range": [0, 0]}])
+        p = tmp_path / "shape.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = invoke([verb, str(p)])
+        assert code == 1
+        assert "parse error: %s:" % field in err
+        assert "Traceback" not in err
+
+    def test_differential_into_a_zero_term(self):
+        zero = {"gens": 0, "action": [[], []]}
+        doc = minimal_doc(
+            group={"kind": "cyclic", "n": 2},
+            coefficients={"kind": "complex", "lo": 0,
+                          "terms": [self.ONE, zero], "diffs": [[]]},
+            analyses=[{"kind": "tate", "range": [0, 0]}])
+        report = run_scenario(parse_scenario(doc))
+        assert report["results"][0]["rows"][0]["invariants"] == [2]
+
     def test_invalid_json_file(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{nope")

@@ -322,6 +322,29 @@ class TestNormGroups:
         assert calls == [12]
 
 
+def test_formation_and_norm_table_abelianize_once(monkeypatch):
+    # iota and the norm table both read G^ab; the group keeps it
+    from tateform import groups
+    from tateform.cli import parse_scenario, run_scenario
+
+    calls = []
+    commutators = groups.commutator_subgroup
+
+    def counted(G):
+        calls.append(G.order)
+        return commutators(G)
+
+    monkeypatch.setattr(groups, "commutator_subgroup", counted)
+    doc = {"name": "z12", "group": {"kind": "cyclic", "n": 12},
+           "coefficients": {"kind": "trivial"},
+           "analyses": [{"kind": "formation"}, {"kind": "norm-table"}],
+           "options": {"window": 4}}
+    report = run_scenario(parse_scenario(doc))
+    assert [(r["analysis"], r["verdict"]) for r in report["results"]] == [
+        ("formation", "PASS"), ("norm-table", "ok")]
+    assert calls == [12]
+
+
 _C2 = make_cyclic(2)
 
 

@@ -300,6 +300,21 @@ class TestRestrictionCorestriction:
         for q in (-2, -1, 0, 1):
             assert np.array_equal(model.diff_gen(q), X.diff_gen(q))
 
+    @pytest.mark.parametrize("setup", [s3_setup, klein_setup,
+                                       lambda: cyclic_setup(6)],
+                             ids=["S3", "C2xC2", "Z6"])
+    def test_subgroup_model_relabels_every_degree(self, setup):
+        # the model's positive half is the dual over H; it must equal the
+        # relabeled dual over G, and so must every other differential
+        G, X = setup()
+        for H in all_subgroups(G):
+            model = SubgroupResolution(X, H)
+            assert model.window == X.window
+            for q in range(-X.window, X.window):
+                assert model.rank(q) == X.rank(q) * H.index
+                assert np.array_equal(model.diff_gen(q),
+                                      model._relabel(X.diff_gen(q))), (H, q)
+
 
 class TestCupProducts:
     def test_zero_class_gives_zero_map(self):
