@@ -9,7 +9,7 @@ d_cone = [[-d, 0], [f, d]], which keeps both triangle maps sign-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import CapExceeded, ValidationError
 from .gmodules import GModule, direct_sum, tensor, zero_module, zmodule
@@ -49,6 +49,7 @@ class GComplex:
         self._terms = tuple(terms)
         self._diffs = tuple(diffs)
         self.name = name
+        self._zero: Optional[GModule] = None
         self._validate()
 
     def _validate(self):
@@ -75,9 +76,12 @@ class GComplex:
                 raise ValidationError(f"d o d is nonzero at degree {q}")
 
     def term(self, q: int) -> GModule:
+        """C^q; outside the support, one zero module kept per complex."""
         if self.lo <= q <= self.hi:
             return self._terms[q - self.lo]
-        return zero_module(self.group)
+        if self._zero is None:
+            self._zero = zero_module(self.group)
+        return self._zero
 
     def diff(self, q: int) -> IntMatrix:
         """d^q: term(q) -> term(q+1); zero outside the support."""

@@ -1,9 +1,17 @@
 """Exact integer linear algebra.
 
 Smith normal form, integer kernels and solves, and structure data for
-finitely generated abelian groups presented as cokernels.  Everything runs
-on numpy arrays with ``dtype=object`` holding Python ints, so arithmetic is
-arbitrary precision and no floating point is ever involved.
+finitely generated abelian groups presented as cokernels.  Matrices go in
+and come out as numpy arrays with ``dtype=object`` holding Python ints, so
+arithmetic is arbitrary precision and no floating point is ever involved.
+
+Inside ``smith_normal_form`` the working storage is picked per call: an
+input of at least 256 entries, all below 2^30, is eliminated on int64
+arrays under a guard that keeps every entry below 2^62, and s and the
+carried transforms move to object storage at the first row or column
+operation the guard cannot clear.  The pivot sequence is the same on
+either storage, and every returned matrix is converted back to Python
+ints, so callers never see int64.
 
 The Smith normal form here uses the minimal-absolute-value pivot with a
 fixed (row, column) tie-break, which keeps intermediate entries small at
@@ -29,8 +37,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 # The package-wide matrix type: a 2-D numpy array with dtype=object whose
-# entries are Python ints.  numpy is used purely as an exact container;
-# all arithmetic stays in Python integers.
+# entries are Python ints.  numpy is used as an exact container; only the
+# guarded int64 working storage of smith_normal_form uses machine integers.
 IntMatrix = np.ndarray
 
 
@@ -129,6 +137,29 @@ class SnfResult:
         return sum(1 for d in self.diagonal if d != 0)
 
 
+# smith_normal_form's working storage (see the module docstring).  Inputs
+# with fewer than _INT64_MIN_CELLS entries stay on object storage: there
+# the conversions and the guard cost more than int64 arithmetic saves.
+_INT64_ROOM = 1 << 62
+_INT64_START = 1 << 30
+_INT64_MIN_CELLS = 256
+
+
+def _working_copy(a: IntMatrix) -> tuple[np.ndarray, Optional[int]]:
+    """A copy of ``a`` to eliminate in, and a bound on its entries: int64
+    storage with the bound, or object storage with None."""
+    if a.size >= _INT64_MIN_CELLS:
+        try:
+            s = a.astype(np.int64)
+        except OverflowError:
+            pass
+        else:
+            bound = max(int(s.max(initial=0)), -int(s.min(initial=0)), 1)
+            if bound < _INT64_START:
+                return s, bound
+    return a.astype(object), None
+
+
 def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
     """Smith normal form over Z with minimal-absolute-value pivoting.
 
@@ -140,16 +171,52 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
 
     Ties between candidate pivots of equal absolute value break toward the
     smallest (row, column) pair, so the output is deterministic.
+
+    Storage (see the module docstring): an int64 run keeps every entry
+    below 2^62 under a guard that tracks a bound per *pass*, the run of
+    operations that add multiples of one source row or column to distinct
+    destinations (a clearing loop, or the single divisibility step): if
+    every entry is at most B when the pass starts, every entry is at most
+    B (1 + sum |q|) while it runs, since each destination takes one
+    multiple of the unchanged source and only U^-1's or V^-1's pivot line
+    accumulates, once per quotient q.  The bound folds at each pass
+    boundary and is measured exactly only when it would reach 2^62; if
+    the exact bound still leaves no room for the next operation, s and
+    every carried transform move to object storage and the elimination
+    carries on from the same state.  Either way every returned matrix is
+    ``dtype=object`` holding Python ints, the same as an all-object run.
     """
     wanted = set(need.split())
     if not wanted <= set(TRANSFORMS):
         raise ValueError("unknown transforms in need=%r" % need)
-    s = a.astype(object).copy()
+    s, bound = _working_copy(a)
+    acc = 1  # 1 + sum |q| over the current pass
     m, n = s.shape
-    u = eye(m) if "u" in wanted else None
-    u_inv = eye(m) if "u_inv" in wanted else None
-    v = eye(n) if "v" in wanted else None
-    v_inv = eye(n) if "v_inv" in wanted else None
+    u = np.eye(m, dtype=s.dtype) if "u" in wanted else None
+    u_inv = np.eye(m, dtype=s.dtype) if "u_inv" in wanted else None
+    v = np.eye(n, dtype=s.dtype) if "v" in wanted else None
+    v_inv = np.eye(n, dtype=s.dtype) if "v_inv" in wanted else None
+
+    def new_pass():
+        nonlocal bound, acc
+        if bound is not None:
+            bound *= acc
+            acc = 1
+
+    def grow(q):
+        # Make room for adding q times the pass's source line.
+        nonlocal bound, acc, s, u, u_inv, v, v_inv
+        if bound * (acc + abs(q)) >= _INT64_ROOM:
+            live = [s[t:, t:]] + [x for x in (u, u_inv, v, v_inv) if x is not None]
+            bound = max(max(int(x.max()), -int(x.min())) for x in live if x.size)
+            acc = 1
+            if bound * (acc + abs(q)) >= _INT64_ROOM:
+                bound = None
+                s, u, u_inv, v, v_inv = (
+                    None if x is None else x.astype(object)
+                    for x in (s, u, u_inv, v, v_inv))
+                return
+        acc += abs(q)
 
     # Row and column operations at step t touch s only from column (row) t
     # on, where t is the current pivot: everything before it is already
@@ -174,6 +241,8 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
 
     def row_add(i, k, q):
         # row i += q * row k
+        if bound is not None:
+            grow(q)
         s[i, t:] += q * s[k, t:]
         if u is not None:
             u[i, :] += q * u[k, :]
@@ -182,6 +251,8 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
 
     def col_add(j, k, q):
         # col j += q * col k
+        if bound is not None:
+            grow(q)
         s[t:, j] += q * s[t:, k]
         if v is not None:
             v[:, j] += q * v[:, k]
@@ -217,19 +288,19 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
             # Clear column t.  Remainders become new, smaller pivots.  Only
             # row i changes when row i is reduced, so the nonzero rows found
             # up front stay the rows to visit until the pivot moves.
+            new_pass()
             restart = False
             for i in np.nonzero(s[t + 1:, t])[0] + (t + 1):
-                q = s[i, t] // s[t, t]
-                row_add(i, t, -q)
+                row_add(i, t, -int(s[i, t] // s[t, t]))
                 if s[i, t] != 0:
                     swap_rows(t, i)
                     restart = True
                     break
             if restart:
                 continue
+            new_pass()
             for j in np.nonzero(s[t, t + 1:])[0] + (t + 1):
-                q = s[t, j] // s[t, t]
-                col_add(j, t, -q)
+                col_add(j, t, -int(s[t, j] // s[t, t]))
                 if s[t, j] != 0:
                     swap_cols(t, j)
                     restart = True
@@ -244,16 +315,21 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
             bad = np.nonzero(s[t + 1:, t + 1:] % d)[0]
             if not len(bad):
                 break
+            new_pass()
             row_add(t, t + 1 + int(bad[0]), 1)
         if s[t, t] < 0:
             negate_row(t)
         t += 1
 
-    def carried(x):
-        return zeros(0, 0) if x is None else x
-
     diag = tuple(int(s[i, i]) for i in range(min(m, n)))
-    return SnfResult(carried(u), carried(u_inv), s, carried(v), carried(v_inv), diag)
+    # Rebinding each name as it is converted frees its int64 array before
+    # the next conversion allocates.
+    s = s.astype(object, copy=False)
+    u = zeros(0, 0) if u is None else u.astype(object, copy=False)
+    u_inv = zeros(0, 0) if u_inv is None else u_inv.astype(object, copy=False)
+    v = zeros(0, 0) if v is None else v.astype(object, copy=False)
+    v_inv = zeros(0, 0) if v_inv is None else v_inv.astype(object, copy=False)
+    return SnfResult(u, u_inv, s, v, v_inv, diag)
 
 
 def gcd_minors_diagonal(a: IntMatrix) -> tuple[int, ...]:
@@ -330,7 +406,10 @@ class LatticeSolver:
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
         """The integer x with A x = b, column by column when b is a matrix
         (x then has one column per column of b), or None when some column
-        has no integer solution."""
+        has no integer solution.  A matrix with no columns is answered
+        without touching the factorization."""
+        if b.ndim == 2 and b.shape[1] == 0:
+            return zeros(len(self._v), 0)
         c = self.snf.u @ b
         d = self._d if b.ndim == 1 else self._d[:, None]
         r = len(d)

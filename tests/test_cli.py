@@ -307,3 +307,18 @@ def test_closed_pipe_exits_1_without_traceback(tmp_path):
     assert code == 1
     assert err.getvalue() == ""
     assert path.read_bytes() == b""
+
+
+def test_exactness_error_is_a_computation_error(monkeypatch):
+    from tateform import cli
+    from tateform.intlinalg import ExactnessError
+
+    def broken(spec):
+        raise ExactnessError("d_out @ d_in != 0")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    code, out, err = invoke(["demo", "cone-les-z2"])
+    assert code == 2
+    assert out == ""
+    assert err == "computation error: d_out @ d_in != 0\n"
+    assert "Traceback" not in err

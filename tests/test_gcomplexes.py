@@ -180,3 +180,32 @@ class TestTensorPower:
         M = GModule(G, zeros(4, 0), [eye(4), eye(4)])
         with pytest.raises(CapExceeded):
             tensor_power_shifted(M, 5, cap=512)
+
+
+class TestZeroTerms:
+    def test_one_zero_module_per_complex(self):
+        C = two_term_complex()
+        z = C.term(-3)
+        assert z.gens == 0
+        assert C.term(5) is z and C.term(2) is z
+        assert C.diff(1).shape == (0, 1)
+        assert C.diff(-1).shape == (1, 0)
+        assert C.diff(4).shape == (0, 0)
+
+    def test_cone_demo_validates_ten_modules(self, monkeypatch):
+        # Before zero terms were kept per complex this demo validated 41
+        # modules, 32 of them zero modules built afresh at every call.
+        from tateform.cli import parse_scenario, run_scenario
+        from tateform.scenarios import bundled_document
+
+        built = []
+        validate = GModule._validate
+
+        def counting(self):
+            built.append(self.gens)
+            return validate(self)
+
+        monkeypatch.setattr(GModule, "_validate", counting)
+        run_scenario(parse_scenario(bundled_document("cone-les-z2")))
+        assert len(built) == 10
+        assert built.count(0) == 1

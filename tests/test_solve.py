@@ -47,6 +47,18 @@ def reference_solve_matrix(a, b):
     return np.hstack(cols) if cols else zeros(a.shape[1], 0)
 
 
+def general_solve(solver, b):
+    """The one-pass solve through U, the diagonal and V, for every shape
+    of b: what ``solve`` computes when it takes no shortcut."""
+    c = solver.snf.u @ b
+    r = solver.snf.rank
+    d = np.array(solver.snf.diagonal[:r], dtype=object)
+    d = d if b.ndim == 1 else d[:, None]
+    if np.count_nonzero(c[:r] % d) or np.count_nonzero(c[r:]):
+        return None
+    return solver.snf.v[:, :r] @ (c[:r] // d)
+
+
 def same(x, y):
     if x is None or y is None:
         return x is None and y is None
@@ -96,6 +108,24 @@ class TestWholeMatrixSolve:
         assert same(got, reference_solve_matrix(zeros(m, n), zeros(m, k)))
         vec = LatticeSolver(zeros(m, n)).solve(np.zeros(m, dtype=object))
         assert vec.shape == (n,)
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (2, 0), (0, 3), (2, 2), (3, 2), (2, 5)])
+    def test_empty_right_hand_sides_match_general_path(self, m, n):
+        a = zeros(m, n)
+        for i in range(m):
+            for j in range(n):
+                a[i, j] = (3 * i + 5 * j) % 7 - 3
+        solver = LatticeSolver(a)
+        b = zeros(m, 0)
+        got = solver.solve(b)
+        assert got.dtype == object
+        assert same(got, general_solve(solver, b))
+        assert same(got, reference_solve_matrix(a, b))
+        if n == 0:
+            # a 0-column A answers vectors too: only b = 0 lies in its span
+            for vec in (np.zeros(m, dtype=object), np.arange(1, m + 1, dtype=object)):
+                assert same(solver.solve(vec), general_solve(solver, vec))
+                assert same(solver.solve(vec), reference_solve(a, vec))
 
     def test_nonzero_column_outside_zero_lattice(self):
         assert LatticeSolver(zeros(2, 0)).solve(intmat([[0, 0], [0, 1]])) is None
