@@ -26,7 +26,7 @@ from .formation import check_class_formation, norm_group_table
 from .gcomplexes import GComplex, concentrate, tensor_power_shifted
 from .gmodules import GModule, finite_field_units, regular_module, zmodule
 from .groups import FiniteGroup, direct_product, from_table, make_cyclic
-from .intlinalg import ExactnessError, intmat, zeros
+from .intlinalg import intmat, zeros
 from .resolutions import complete_resolution, resolution_for
 from .scenarios import (
     bundled_description,
@@ -743,8 +743,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 1
-    except (CapExceeded, WindowError, LiftingError, ValidationError,
-            ExactnessError) as e:
+    except (CapExceeded, WindowError, LiftingError, ValueError) as e:
+        # ValueError covers ValidationError, ExactnessError and the bare
+        # ValueErrors of intlinalg; ParseError is reported above.
         print("computation error: %s" % e, file=sys.stderr)
         return 2
     except BrokenPipeError:

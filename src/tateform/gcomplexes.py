@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .errors import CapExceeded, ValidationError
 from .gmodules import GModule, direct_sum, tensor, zero_module, zmodule
 from .groups import FiniteGroup
-from .intlinalg import IntMatrix, LatticeSolver, eye, zeros
+from .intlinalg import IntMatrix, LatticeSolver, eye, matmul, zeros
 
 TENSOR_POWER_CAP = 512
 
@@ -71,7 +71,7 @@ class GComplex:
                     f"differential at degree {q} is not equivariant for element {g}"
                 )
         for q in range(self.lo, self.hi - 1):
-            comp = self._diffs[q + 1 - self.lo] @ self._diffs[q - self.lo]
+            comp = matmul(self._diffs[q + 1 - self.lo], self._diffs[q - self.lo])
             if not LatticeSolver(self.term(q + 2).relators).contains(comp):
                 raise ValidationError(f"d o d is nonzero at degree {q}")
 

@@ -9,9 +9,17 @@ Inside ``smith_normal_form`` the working storage is picked per call: an
 input of at least 256 entries, all below 2^30, is eliminated on int64
 arrays under a guard that keeps every entry below 2^62, and s and the
 carried transforms move to object storage at the first row or column
-operation the guard cannot clear.  The pivot sequence is the same on
-either storage, and every returned matrix is converted back to Python
-ints, so callers never see int64.
+operation the guard cannot clear.  On int64 storage a pass that clears
+three or more entries of a column (row) is one array operation.  The
+pivot sequence is the same on either storage, and every returned matrix
+is converted back to Python ints, so callers never see int64.
+
+Matrix products outside the elimination (the d o d and cocycle audits,
+homology's representatives, the solves) go through ``matmul``, guarded
+the same way: it multiplies on int64 when the inner dimension k and the
+largest entries bound every sum, k max|a| max|b| < 2^63, and on Python
+ints otherwise, and always returns Python ints.  ``LatticeSolver`` keeps
+its factors on int64 when they fit, narrowed once per factorization.
 
 The Smith normal form here uses the minimal-absolute-value pivot with a
 fixed (row, column) tie-break, which keeps intermediate entries small at
@@ -111,6 +119,41 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
+# matmul runs on int64 when no sum can reach 2^63 (see its docstring).
+# Under _MATMUL_MIN_WORK multiply-adds it stays on objects: there the
+# conversions to and from int64 cost more than int64 arithmetic saves.
+_MATMUL_MIN_WORK = 1024
+
+
+def _narrow(x: np.ndarray) -> np.ndarray:
+    """x on int64 storage when every entry fits, else x itself."""
+    try:
+        return x.astype(np.int64, copy=False)
+    except OverflowError:
+        return x
+
+
+def _max_abs(x: np.ndarray) -> int:
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact product a @ b of a matrix and a matrix or vector, as
+    ``dtype=object`` Python ints.
+
+    With inner dimension k, every sum the product forms is at most
+    k max|a| max|b| in absolute value, so when that is below 2^63 the
+    product runs on int64; otherwise, and under a fixed floor of work, it
+    runs on objects.  Either operand may already be int64.
+    """
+    if a.size * (b.shape[1] if b.ndim == 2 else 1) >= _MATMUL_MIN_WORK:
+        a64, b64 = _narrow(a), _narrow(b)
+        if (a64.dtype == b64.dtype == np.int64
+                and a.shape[1] * _max_abs(a64) * _max_abs(b64) < 1 << 63):
+            return (a64 @ b64).astype(object)
+    return np.matmul(a, b, dtype=object)
+
+
 TRANSFORMS = ("u", "u_inv", "v", "v_inv")
 
 
@@ -143,6 +186,10 @@ class SnfResult:
 _INT64_ROOM = 1 << 62
 _INT64_START = 1 << 30
 _INT64_MIN_CELLS = 256
+# A clearing pass over fewer nonzero lines is cheaper one line at a time
+# than as one array operation, whose fancy indexing costs about as much
+# as three single-line operations.
+_CLEAR_MIN_LINES = 3
 
 
 def _working_copy(a: IntMatrix) -> tuple[np.ndarray, Optional[int]]:
@@ -154,7 +201,7 @@ def _working_copy(a: IntMatrix) -> tuple[np.ndarray, Optional[int]]:
         except OverflowError:
             pass
         else:
-            bound = max(int(s.max(initial=0)), -int(s.min(initial=0)), 1)
+            bound = max(_max_abs(s), 1)
             if bound < _INT64_START:
                 return s, bound
     return a.astype(object), None
@@ -175,16 +222,17 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
     Storage (see the module docstring): an int64 run keeps every entry
     below 2^62 under a guard that tracks a bound per *pass*, the run of
     operations that add multiples of one source row or column to distinct
-    destinations (a clearing loop, or the single divisibility step): if
-    every entry is at most B when the pass starts, every entry is at most
-    B (1 + sum |q|) while it runs, since each destination takes one
-    multiple of the unchanged source and only U^-1's or V^-1's pivot line
-    accumulates, once per quotient q.  The bound folds at each pass
-    boundary and is measured exactly only when it would reach 2^62; if
-    the exact bound still leaves no room for the next operation, s and
-    every carried transform move to object storage and the elimination
-    carries on from the same state.  Either way every returned matrix is
-    ``dtype=object`` holding Python ints, the same as an all-object run.
+    destinations (a column or row clear, or the single divisibility
+    step): if every entry is at most B when the pass starts, every entry
+    is at most B (1 + sum |q|) while it runs, since each destination takes
+    one multiple of the unchanged source and only U^-1's or V^-1's pivot
+    line accumulates, once per quotient q.  A clear done as one array
+    operation takes its whole sum |q| in one guard step.  The bound folds
+    at each pass boundary and is measured exactly only when it would reach
+    2^62; if the exact bound still leaves no room, s and every carried
+    transform move to object storage and the elimination carries on from
+    the same state.  Either way every returned matrix is ``dtype=object``
+    holding Python ints, the same as an all-object run.
     """
     wanted = set(need.split())
     if not wanted <= set(TRANSFORMS):
@@ -203,61 +251,90 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
             bound *= acc
             acc = 1
 
-    def grow(q):
-        # Make room for adding q times the pass's source line.
+    def grow(step):
+        # Make room for adding multiples of the pass's source line whose
+        # quotients sum to step in absolute value.
         nonlocal bound, acc, s, u, u_inv, v, v_inv
-        if bound * (acc + abs(q)) >= _INT64_ROOM:
+        if bound * (acc + step) >= _INT64_ROOM:
             live = [s[t:, t:]] + [x for x in (u, u_inv, v, v_inv) if x is not None]
-            bound = max(max(int(x.max()), -int(x.min())) for x in live if x.size)
+            bound = max(_max_abs(x) for x in live)
             acc = 1
-            if bound * (acc + abs(q)) >= _INT64_ROOM:
+            if bound * (acc + step) >= _INT64_ROOM:
                 bound = None
                 s, u, u_inv, v, v_inv = (
                     None if x is None else x.astype(object)
                     for x in (s, u, u_inv, v, v_inv))
+                lines[:] = views()
                 return
-        acc += abs(q)
+        acc += step
 
-    # Row and column operations at step t touch s only from column (row) t
-    # on, where t is the current pivot: everything before it is already
-    # zero in the rows (columns) they combine.
-    def swap_rows(i, j):
+    def views():
+        # For row operations: s, the transform whose rows follow s's rows
+        # and the inverse whose columns do.  A column operation is a row
+        # operation on the transposes, with V and V^-1 as U and U^-1.
+        return [(s, u, u_inv),
+                (s.T, None if v is None else v.T, None if v_inv is None else v_inv.T)]
+
+    lines = views()  # indexed by cols, False for rows and True for columns
+
+    # Operations at step t touch s only from line t on, where t is the
+    # current pivot: everything before it is already zero in the lines
+    # they combine.
+    def swap(cols, i, j):
         if i == j:
             return
-        s[[i, j], :] = s[[j, i], :]
-        if u is not None:
-            u[[i, j], :] = u[[j, i], :]
-        if u_inv is not None:
-            u_inv[:, [i, j]] = u_inv[:, [j, i]]
+        w, x, x_inv = lines[cols]
+        w[[i, j], :] = w[[j, i], :]
+        if x is not None:
+            x[[i, j], :] = x[[j, i], :]
+        if x_inv is not None:
+            x_inv[:, [i, j]] = x_inv[:, [j, i]]
 
-    def swap_cols(i, j):
-        if i == j:
-            return
-        s[:, [i, j]] = s[:, [j, i]]
-        if v is not None:
-            v[:, [i, j]] = v[:, [j, i]]
-        if v_inv is not None:
-            v_inv[[i, j], :] = v_inv[[j, i], :]
-
-    def row_add(i, k, q):
-        # row i += q * row k
+    def add(cols, i, k, q):
+        # line i += q * line k
         if bound is not None:
-            grow(q)
-        s[i, t:] += q * s[k, t:]
-        if u is not None:
-            u[i, :] += q * u[k, :]
-        if u_inv is not None:
-            u_inv[:, k] -= q * u_inv[:, i]
+            grow(abs(q))
+        w, x, x_inv = lines[cols]
+        w[i, t:] += q * w[k, t:]
+        if x is not None:
+            x[i, :] += q * x[k, :]
+        if x_inv is not None:
+            x_inv[:, k] -= q * x_inv[:, i]
 
-    def col_add(j, k, q):
-        # col j += q * col k
-        if bound is not None:
-            grow(q)
-        s[t:, j] += q * s[t:, k]
-        if v is not None:
-            v[:, j] += q * v[:, k]
-        if v_inv is not None:
-            v_inv[k, :] -= q * v_inv[j, :]
+    def clear(cols):
+        """Reduce column t below the pivot (row t past it, with ``cols``)
+        up to the first nonzero remainder, and swap that remainder in as
+        the new, smaller pivot; True when it did.  Only line i changes
+        when line i is reduced, so the quotients are known up front: on
+        int64 storage a pass over at least _CLEAR_MIN_LINES nonzero lines
+        is one array operation under one guard step of sum |q|; otherwise
+        the lines are reduced one at a time."""
+        w = lines[cols][0]
+        rows = np.nonzero(w[t + 1:, t])[0] + (t + 1)
+        if bound is not None and len(rows) >= _CLEAR_MIN_LINES:
+            col = w[rows, t]
+            q = -(col // w[t, t])
+            cut = np.nonzero(col % w[t, t])[0][:1]
+            if len(cut):
+                rows, q = rows[:cut[0] + 1], q[:cut[0] + 1]
+            grow(sum(map(abs, q.tolist())))
+            if bound is not None:
+                w, x, x_inv = lines[cols]
+                w[rows, t:] += q[:, None] * w[t, t:]
+                if x is not None:
+                    x[rows, :] += q[:, None] * x[t, :]
+                if x_inv is not None:
+                    x_inv[:, t] -= x_inv[:, rows] @ q
+                if len(cut):
+                    swap(cols, t, rows[-1])
+                return bool(len(cut))
+        for i in rows:
+            add(cols, i, t, -int(w[i, t] // w[t, t]))
+            w = lines[cols][0]  # add may have moved s to object storage
+            if w[i, t] != 0:
+                swap(cols, t, i)
+                return True
+        return False
 
     def negate_row(i):
         s[i, :] = -s[i, :]
@@ -281,31 +358,15 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
         best = find_pivot(t)
         if best is None:
             break
-        pi, pj = best
-        swap_rows(t, pi)
-        swap_cols(t, pj)
+        swap(False, t, best[0])
+        swap(True, t, best[1])
         while True:
-            # Clear column t.  Remainders become new, smaller pivots.  Only
-            # row i changes when row i is reduced, so the nonzero rows found
-            # up front stay the rows to visit until the pivot moves.
+            # Clear column t, then row t; a new pivot starts over.
             new_pass()
-            restart = False
-            for i in np.nonzero(s[t + 1:, t])[0] + (t + 1):
-                row_add(i, t, -int(s[i, t] // s[t, t]))
-                if s[i, t] != 0:
-                    swap_rows(t, i)
-                    restart = True
-                    break
-            if restart:
+            if clear(False):
                 continue
             new_pass()
-            for j in np.nonzero(s[t, t + 1:])[0] + (t + 1):
-                col_add(j, t, -int(s[t, j] // s[t, t]))
-                if s[t, j] != 0:
-                    swap_cols(t, j)
-                    restart = True
-                    break
-            if restart:
+            if clear(True):
                 continue
             # Row and column are clear; enforce divisibility into the rest.
             # The offender is the first row with an entry d does not divide.
@@ -316,7 +377,7 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
             if not len(bad):
                 break
             new_pass()
-            row_add(t, t + 1 + int(bad[0]), 1)
+            add(False, t, t + 1 + int(bad[0]), 1)
         if s[t, t] < 0:
             negate_row(t)
         t += 1
@@ -401,7 +462,15 @@ class LatticeSolver:
         self.snf = snf if snf is not None else smith_normal_form(a, need="u v")
         r = self.snf.rank
         self._d = np.array(self.snf.diagonal[:r], dtype=object)
+        # A factor whose product with a vector runs on int64 is narrowed
+        # once here, so a solve converts only its right-hand side and its
+        # answer.
+        self._u = self.snf.u
+        if self._u.size >= _MATMUL_MIN_WORK:
+            self._u = _narrow(self._u)
         self._v = self.snf.v[:, :r]
+        if self._v.size >= _MATMUL_MIN_WORK:
+            self._v = _narrow(self._v)
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
         """The integer x with A x = b, column by column when b is a matrix
@@ -410,12 +479,12 @@ class LatticeSolver:
         without touching the factorization."""
         if b.ndim == 2 and b.shape[1] == 0:
             return zeros(len(self._v), 0)
-        c = self.snf.u @ b
+        c = matmul(self._u, b)
         d = self._d if b.ndim == 1 else self._d[:, None]
         r = len(d)
         if np.count_nonzero(c[:r] % d) or np.count_nonzero(c[r:]):
             return None
-        return self._v @ (c[:r] // d)
+        return matmul(self._v, c[:r] // d)
 
     def contains(self, b: np.ndarray) -> bool:
         """Whether b (every column of b, for a matrix) lies in the lattice."""
@@ -646,7 +715,7 @@ class Subquotient:
             raise ExactnessError("denominator does not lie in the numerator lattice")
         coker = cokernel_structure(w)
         reps = (
-            numerator_basis @ coker.basis_lift
+            matmul(numerator_basis, coker.basis_lift)
             if coker.ngens
             else zeros(numerator_basis.shape[0], 0)
         )
@@ -677,8 +746,7 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbGroup:
             f"shape mismatch: d_in maps into Z^{d_in.shape[0]}, "
             f"d_out maps out of Z^{d_out.shape[1]}"
         )
-    comp = d_out @ d_in
-    if not is_zero(comp):
+    if not is_zero(matmul(d_out, d_in)):
         raise ExactnessError("d_out @ d_in != 0")
     return homology_subquotient(d_in, d_out).group
 

@@ -23,6 +23,7 @@ from .intlinalg import (
     is_zero,
     kernel_basis,
     lattice_basis,
+    matmul,
     smith_normal_form,
     span_basis,
     zeros,
@@ -408,8 +409,7 @@ def validate_complete_resolution(X: CompleteResolution,
             continue
         dprev = X.full_diff(q - 1)
         dhere = X.full_diff(q)
-        prod = dhere @ dprev
-        if not is_zero(prod):
+        if not is_zero(matmul(dhere, dprev)):
             audit.add(q, zq, "FAIL: d o d != 0")
             continue
         if _same_lattice(lattice_basis(dprev), kernel_basis(dhere)):

@@ -44,6 +44,7 @@ from .intlinalg import (
     hstack,
     is_zero,
     kron,
+    matmul,
     preimage_lattice,
     zeros,
 )
@@ -157,7 +158,7 @@ class TotalComplex:
 
     def _audit(self) -> None:
         for q in range(self.qlo - 1, self.qhi):
-            prod = self.diff[q + 1] @ self.diff[q]
+            prod = matmul(self.diff[q + 1], self.diff[q])
             if not self._in_relator_span(q + 2, prod):
                 raise ValidationError(
                     "total complex fails d o d = 0 at degree %d" % q)
@@ -221,7 +222,7 @@ class TateGroups:
                 raise ValidationError(
                     "Tate group at degree %d came out infinite" % q)
             if not total._in_relator_span(q + 1,
-                                          total.diff[q] @ sq.group.basis_lift):
+                                          matmul(total.diff[q], sq.group.basis_lift)):
                 raise ValidationError(
                     "representative at degree %d is not a cocycle" % q)
             self._sub[q] = sq

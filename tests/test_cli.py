@@ -322,3 +322,17 @@ def test_exactness_error_is_a_computation_error(monkeypatch):
     assert out == ""
     assert err == "computation error: d_out @ d_in != 0\n"
     assert "Traceback" not in err
+
+
+def test_value_error_is_a_computation_error(monkeypatch):
+    from tateform import cli
+
+    def broken(spec):
+        raise ValueError("vector is not in the numerator lattice")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    code, out, err = invoke(["demo", "cone-les-z2"])
+    assert code == 2
+    assert out == ""
+    assert err == "computation error: vector is not in the numerator lattice\n"
+    assert "Traceback" not in err

@@ -1,0 +1,131 @@
+"""The exact matrix product and the solver factors kept on int64.
+
+``intlinalg.matmul`` multiplies on int64 when k max|a| max|b| < 2^63 over
+inner dimension k, and on Python ints otherwise.  Whichever side of that
+guard a product falls on, it must equal object ``@`` entry for entry and
+hold Python ints.  ``LatticeSolver`` narrows its factors to int64 when
+they fit; solves through narrowed factors and through factors too wide
+for int64 must both match the per-column reference of ``test_solve``.
+"""
+
+import random
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tateform.intlinalg import LatticeSolver, matmul, zeros
+from test_solve import reference_solve, reference_solve_matrix, same
+
+
+def assert_exact(got, a, b):
+    want = a.astype(object) @ b.astype(object)
+    assert got.dtype == object
+    assert got.shape == want.shape
+    assert all(type(x) is int for x in got.flat)
+    assert np.array_equal(got, want)
+
+
+def random_matrix(rng, shape, bits):
+    out = zeros(*shape) if len(shape) == 2 else np.zeros(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        out[idx] = rng.randint(-(1 << bits), 1 << bits)
+    return out
+
+
+@st.composite
+def products(draw):
+    """Entries up to 2^40 and inner dimension up to 300, so
+    products fall on both sides of the int64 guard; some carry an entry
+    of at least 2^63, which int64 cannot hold at all."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m, k = draw(st.integers(1, 6)), draw(st.integers(0, 300))
+    shape_b = (k,) if draw(st.booleans()) else (k, draw(st.integers(1, 6)))
+    a = random_matrix(rng, (m, k), draw(st.integers(1, 40)))
+    b = random_matrix(rng, shape_b, draw(st.integers(1, 40)))
+    if k and draw(st.booleans()):
+        huge = draw(st.sampled_from([1 << 63, -(1 << 63) - 1, 1 << 70]))
+        target = a if draw(st.booleans()) else b
+        target[(0,) * target.ndim] = huge
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(products())
+def test_matches_object_product(ab):
+    a, b = ab
+    assert_exact(matmul(a, b), a, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(products())
+def test_int64_operands_match_object_product(ab):
+    a, b = ab
+    try:
+        a64 = a.astype(np.int64)
+    except OverflowError:
+        return
+    assert_exact(matmul(a64, b), a, b)
+
+
+def test_guard_is_strict_at_two_to_the_63():
+    # k max|a| max|b| == 2^63: every entry of the product is 2^63, one past
+    # int64's largest value, and must come back exact
+    a = np.full((32, 2), 1 << 31, dtype=object)
+    b = np.full((2, 32), 1 << 31, dtype=object)
+    got = matmul(a, b)
+    assert_exact(got, a, b)
+    assert got[0, 0] == 1 << 63
+    # one below the guard: the largest sums fit and are exact on int64
+    a[:, :] = (1 << 31) - 1
+    assert_exact(matmul(a, b), a, b)
+
+
+def test_empty_inner_dimension():
+    got = matmul(zeros(40, 0), zeros(0, 40))
+    assert_exact(got, zeros(40, 0), zeros(0, 40))
+    assert not got.any()
+
+
+def solvable_and_not(a, rng, cols):
+    """A right-hand side of cols images of random vectors, and the same
+    with one entry moved off the column lattice of A."""
+    x = random_matrix(rng, (a.shape[1], cols), 3)
+    good = a @ x
+    bad = good.copy()
+    bad[0, 0] += 1
+    return good, bad
+
+
+def test_narrowed_factors_match_reference():
+    # edges of a tree, weighted 2 and -1: the transforms stay small
+    rng = random.Random(7)
+    a = zeros(40, 36)
+    for j in range(36):
+        a[j + 1, j] = 2
+        a[rng.randint(0, j), j] = -1
+    solver = LatticeSolver(a)
+    assert solver._u.dtype == np.int64 and solver._v.dtype == np.int64
+    for b in solvable_and_not(a, rng, 5):
+        assert same(solver.solve(b), reference_solve_matrix(a, b))
+        assert same(solver.solve(b[:, 0]), reference_solve(a, b[:, 0]))
+
+
+def test_wide_factors_match_reference():
+    # ones on the diagonal from row 3 on and a 3 x 3 core of 27-bit entries
+    a = zeros(40, 40)
+    for i in range(3, 40):
+        a[i, i] = 1
+    for i in range(3):
+        for j in range(3):
+            a[i, j] = pow(i + 2, j + 13, 10**8 + 7)
+    solver = LatticeSolver(a)
+    # V is large enough to narrow but needs more than 64 bits, so it
+    # stays on objects; U fits
+    assert solver._v.dtype == object and solver._u.dtype == np.int64
+    rng = random.Random(11)
+    for b in solvable_and_not(a, rng, 5):
+        got = solver.solve(b)
+        assert same(got, reference_solve_matrix(a, b))
+        if got is not None:
+            assert np.array_equal(a @ got, b)

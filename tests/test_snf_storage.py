@@ -231,3 +231,50 @@ def test_int64_run_without_promotion():
         a[i, (3 * i) % 20] = i % 5 - 2
     assert _working_copy(a)[0].dtype == np.int64
     assert_same_as_object(a, "u u_inv v v_inv")
+
+
+def cut_matrix():
+    """A pivot 3 over the column 6, 7, 9, in a zero matrix large enough to
+    start on int64: the first clearing pass spans three rows and stops at
+    the nonzero remainder of the middle one, which is swapped in as the
+    new pivot.  In the transpose the same happens to the first row."""
+    a = zeros(16, 16)
+    a[0, 0] = 3
+    a[1:4, 0] = [6, 7, 9]
+    for i in range(4, 16):
+        a[i, i] = 5 + i
+        a[i, (i + 3) % 16] = 7
+    return a
+
+
+@pytest.mark.parametrize("need", NEEDS)
+def test_clearing_pass_cut_at_middle_remainder(need):
+    a = cut_matrix()
+    assert _working_copy(a)[0].dtype == np.int64
+    assert [int(x) % 3 for x in a[1:4, 0]] == [0, 1, 0]
+    assert_same_as_object(a, need)
+    assert_same_as_object(a.T.copy(), need)
+
+
+def summed_guard_matrix():
+    """Three isolated ones, then a pivot 1 over sixteen entries 2^29: each
+    quotient alone leaves room on int64, but a pass whose quotients sum to
+    2^33 over a bound of 2^29 does not, so the elimination promotes to
+    object storage after the isolated ones are done."""
+    a = zeros(20, 20)
+    for i in range(3):
+        a[i, i] = 1
+    a[3, 3] = 1
+    a[4:, 3] = 1 << 29
+    for i in range(3, 20):
+        a[i, 4 + i % 16] += i
+    return a
+
+
+@pytest.mark.parametrize("need", NEEDS)
+def test_summed_guard_promotes_part_way(need):
+    a = summed_guard_matrix()
+    assert _working_copy(a)[0].dtype == np.int64
+    bound = 1 << 29
+    assert bound * (1 + 16 * bound) >= 1 << 62
+    assert_same_as_object(a, need)
