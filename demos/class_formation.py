@@ -15,6 +15,7 @@ group fails at (C2), and the report says exactly where.
 
 from math import gcd
 
+from tateform.cli import render_result
 from tateform.formation import (
     check_class_formation,
     fundamental_class,
@@ -30,8 +31,7 @@ C = concentrate(zmodule(G), 0)
 X = complete_resolution(resolution_for(G, 6))
 
 report = check_class_formation(X, C)
-for line in report.lines():
-    print(line)
+print("\n".join(render_result(report.as_dict())))
 assert report.verdict == "PASS"
 
 u = fundamental_class(X, C, report)

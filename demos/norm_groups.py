@@ -11,6 +11,7 @@ quotients Z/4, Z/2 and the trivial group, exactly the abelianizations
 of Z/4, Z/2 and the trivial quotient.
 """
 
+from tateform.cli import render_result
 from tateform.formation import (
     check_class_formation,
     fundamental_class,
@@ -30,8 +31,7 @@ assert report.passed
 u = fundamental_class(X, C, report)
 
 table = norm_group_table(X, C, u)
-for line in table.lines():
-    print(line)
+print("\n".join(render_result(table.as_dict())))
 assert table.passed
 
 expected = {

@@ -11,6 +11,7 @@ fails (ii): its H^2 has order 4 but no element of order 4, so no class
 can generate, and the report pinpoints that hypothesis.
 """
 
+from tateform.cli import render_result
 from tateform.gcomplexes import concentrate
 from tateform.gmodules import zmodule
 from tateform.groups import direct_product, make_cyclic
@@ -23,8 +24,7 @@ X = complete_resolution(resolution_for(G, 6))
 a = tate_hypercohomology(X, C, 2, 2).class_at(2, (1,))
 
 report = tate_nakayama_check(X, C, a, -2, 3)
-for line in report.lines():
-    print(line)
+print("\n".join(render_result(report.as_dict())))
 assert report.verdict == "PASS"
 
 print()

@@ -26,7 +26,7 @@ from .formation import check_class_formation, norm_group_table
 from .gcomplexes import GComplex, concentrate, tensor_power_shifted
 from .gmodules import GModule, finite_field_units, regular_module, zmodule
 from .groups import FiniteGroup, direct_product, from_table, make_cyclic
-from .intlinalg import intmat, zeros
+from .intlinalg import int_list, intmat, zeros
 from .resolutions import complete_resolution, resolution_for
 from .scenarios import (
     bundled_description,
@@ -154,15 +154,17 @@ def _parse_group(doc, max_order):
         if len(table) != len(table[0]):
             _fail("group.table", "table must be square")
         order = len(table)
-        # surface group-law violations as input errors, with the path
-        try:
-            from_table(table)
-        except ValidationError as e:
-            _fail("group.table", str(e))
         out = {"kind": "table", "table": [list(r) for r in table]}
     if order > max_order:
         _fail("group", "order %d exceeds the configured cap %d "
               "(options.max_order)" % (order, max_order))
+    if kind == "table":
+        # checked after the cap, since the associativity check is cubic;
+        # group-law violations surface as input errors, with the path
+        try:
+            from_table(out["table"])
+        except ValidationError as e:
+            _fail("group.table", str(e))
     return out, order
 
 
@@ -214,7 +216,7 @@ def _parse_coefficients(doc, group, order):
             _need_keys(t, tpath, ("gens", "action"), ("relators",))
             gens = _need_int(t["gens"], tpath + ".gens", 0)
             rel = t.get("relators", [])
-            if rel:
+            if rel != []:
                 rel = _need_matrix(rel, tpath + ".relators")
                 for j, row in enumerate(rel):
                     if len(row) != gens:
@@ -363,98 +365,24 @@ def _build_coefficients(G: FiniteGroup, desc: dict) -> GComplex:
     return concentrate(_build_module(G, desc), desc["shift"])
 
 
-def _int_list(xs) -> List[int]:
-    return [int(x) for x in xs]
-
-
-def _int_rows(matrix) -> List[List[int]]:
-    return [[int(x) for x in row] for row in matrix.tolist()]
-
-
 def _run_tate(X, C, analysis) -> dict:
     lo, hi = analysis["range"]
     T = tate_hypercohomology(X, C, lo, hi)
     rows = [{"q": q,
-             "invariants": _int_list(T.invariants(q)),
+             "invariants": int_list(T.invariants(q)),
              "order": int(T.order(q)),
              "dim": int(T.total.dim[q])}
             for q in range(lo, hi + 1)]
     return {"analysis": "tate", "range": [lo, hi], "rows": rows}
 
 
-def _formation_dict(rep) -> dict:
-    out = {
-        "analysis": "formation",
-        "verdict": rep.verdict,
-        "first_obstruction": rep.failure,
-        "c1": [{"subgroup": _int_list(e), "h1": _int_list(inv), "ok": ok}
-               for e, inv, ok in rep.c1_rows],
-        "c2": [{"subgroup": _int_list(e), "h2": _int_list(inv),
-                "required": int(n), "ok": ok}
-               for e, inv, n, ok in rep.c2_rows],
-        "c3": [{"upper": _int_list(u), "lower": _int_list(v), "ok": ok}
-               for u, v, ok in rep.c3_rows],
-        "generators": [{"subgroup": _int_list(e), "coords": _int_list(c)}
-                       for e, c in rep.generators],
-        "candidates_tried": rep.candidates_tried,
-        "fundamental": None,
-        "reciprocity": None,
-        "notes": list(rep.notes),
-    }
-    if rep.fundamental is not None:
-        out["fundamental"] = {"coords": _int_list(rep.fundamental.coords),
-                              "order": int(rep.fundamental.order)}
-    if rep.reciprocity_matrix is not None:
-        out["reciprocity"] = {
-            "matrix": _int_rows(rep.reciprocity_matrix),
-            "source": _int_list(rep.h0_invariants),
-            "target": _int_list(rep.ab_invariants),
-            "isomorphism": bool(rep.reciprocity_verdict),
-        }
-    return out
-
-
-def _run_tate_nakayama(X, C, analysis) -> dict:
+def _tate_nakayama(X, C, analysis):
+    """The Tate-Nakayama check of the first canonical generator of H^2."""
     lo, hi = analysis["range"]
     t2 = tate_hypercohomology(X, C, 2, 2)
     g2 = t2.group(2)
     coords = () if g2.ngens == 0 else (1,) + (0,) * (g2.ngens - 1)
-    a = t2.class_at(2, coords)
-    rep = tate_nakayama_check(X, C, a, lo, hi)
-    return {
-        "analysis": "tate-nakayama",
-        "range": [lo, hi],
-        "candidate": {"coords": _int_list(a.coords), "order": int(a.order)},
-        "hypothesis_i": [
-            {"subgroup": _int_list(e), "h1": _int_list(inv), "ok": ok}
-            for e, inv, ok in rep.h1_rows],
-        "hypothesis_ii": [
-            {"subgroup": _int_list(e), "subgroup_order": int(size),
-             "res_order": int(order), "h2": _int_list(inv), "ok": ok}
-            for e, size, order, inv, ok in rep.res_rows],
-        "conclusion": [
-            {"q": q, "source": _int_list(src), "target": _int_list(tgt),
-             "isomorphism": ok}
-            for q, src, tgt, ok in rep.conclusion],
-        "verdict": rep.verdict,
-    }
-
-
-def _run_cone(X, C, analysis) -> dict:
-    lo, hi = analysis["range"]
-    rep = cone_les_check(X, C, analysis["m"], lo, hi)
-    return {
-        "analysis": "cone-les",
-        "m": analysis["m"],
-        "range": [lo, hi],
-        "rows": [{"i": i, "cone_order": int(lhs), "quotient_order": int(qo),
-                  "torsion_order": int(to), "ok": ok}
-                 for i, lhs, qo, to, ok in rep.rows],
-        "maps": [{"i": i, "inclusion_image": int(a),
-                  "projection_image": int(b), "ok": ok}
-                 for i, a, b, ok in rep.map_rows],
-        "verdict": "ok" if rep.passed else "MISMATCH",
-    }
+    return tate_nakayama_check(X, C, t2.class_at(2, coords), lo, hi)
 
 
 def run_scenario(spec: ScenarioSpec) -> dict:
@@ -469,32 +397,25 @@ def run_scenario(spec: ScenarioSpec) -> dict:
         kind = analysis["kind"]
         if kind == "tate":
             results.append(_run_tate(X, C, analysis))
-        elif kind == "formation":
-            if formation_rep is None:
-                formation_rep = check_class_formation(X, C)
-            results.append(_formation_dict(formation_rep))
         elif kind == "tate-nakayama":
-            results.append(_run_tate_nakayama(X, C, analysis))
+            results.append(_tate_nakayama(X, C, analysis).as_dict())
         elif kind == "cone-les":
-            results.append(_run_cone(X, C, analysis))
+            lo, hi = analysis["range"]
+            results.append(
+                cone_les_check(X, C, analysis["m"], lo, hi).as_dict())
         else:
             if formation_rep is None:
                 formation_rep = check_class_formation(X, C)
-            if not formation_rep.passed:
+            if kind == "formation":
+                results.append(formation_rep.as_dict())
+            elif not formation_rep.passed:
                 results.append({"analysis": "norm-table",
                                 "skipped": "formation verdict: "
                                            + formation_rep.verdict})
             else:
-                tab = norm_group_table(X, C, formation_rep.fundamental,
-                                       formation_rep.reciprocity)
-                results.append({
-                    "analysis": "norm-table",
-                    "rows": [{"subgroup": _int_list(e),
-                              "quotient": _int_list(q),
-                              "target": _int_list(t), "ok": ok}
-                             for e, q, t, ok in tab.rows],
-                    "verdict": "ok" if tab.passed else "MISMATCH",
-                })
+                results.append(norm_group_table(
+                    X, C, formation_rep.fundamental,
+                    formation_rep.reciprocity).as_dict())
     rows = 0
     for r in results:
         for key in ("rows", "c1", "c2", "c3", "conclusion", "maps",
@@ -519,93 +440,101 @@ def _fmt_inv(inv: List[int]) -> str:
 
 
 def render_text(report: dict) -> List[str]:
+    """The text form of a whole report document."""
     spec = report["scenario"]
     out = ["scenario %s" % spec["name"],
            "  group: %s" % json.dumps(spec["group"], sort_keys=True),
            "  coefficients: %s" % json.dumps(spec["coefficients"],
                                              sort_keys=True)]
     for r in report["results"]:
-        kind = r["analysis"]
-        if kind == "tate":
-            out.append("[tate] degrees %d..%d" % tuple(r["range"]))
-            for row in r["rows"]:
-                out.append("  H^%+d = %s (order %d, cochain dim %d)"
-                           % (row["q"], _fmt_inv(row["invariants"]),
-                              row["order"], row["dim"]))
-        elif kind == "formation":
-            out.append("[formation] %s" % r["verdict"])
-            for row in r["c1"]:
-                out.append("  (C1) subgroup %s: H^1 = %s %s"
-                           % (row["subgroup"], _fmt_inv(row["h1"]),
-                              "ok" if row["ok"] else "VIOLATED"))
-            for row in r["c2"]:
-                out.append("  (C2) subgroup %s: H^2 = %s, need Z/%d %s"
-                           % (row["subgroup"], _fmt_inv(row["h2"]),
-                              row["required"],
-                              "ok" if row["ok"] else "VIOLATED"))
-            for row in r["c3"]:
-                out.append("  (C3) res %s -> %s: %s"
-                           % (row["upper"], row["lower"],
-                              "compatible" if row["ok"] else "INCOMPATIBLE"))
-            for g in r["generators"]:
-                out.append("  generator on %s: coords %s"
-                           % (g["subgroup"], g["coords"]))
-            if r["fundamental"]:
-                out.append("  fundamental class: coords %s, order %d"
-                           % (r["fundamental"]["coords"],
-                              r["fundamental"]["order"]))
-            if r["reciprocity"]:
-                rec = r["reciprocity"]
-                out.append("  reciprocity %s -> %s: %s, matrix %s"
-                           % (_fmt_inv(rec["source"]), _fmt_inv(rec["target"]),
-                              "isomorphism" if rec["isomorphism"]
-                              else "NOT an isomorphism", rec["matrix"]))
-            for note in r["notes"]:
-                out.append("  note: %s" % note)
-        elif kind == "tate-nakayama":
-            out.append("[tate-nakayama] %s (candidate coords %s, order %d)"
-                       % (r["verdict"], r["candidate"]["coords"],
-                          r["candidate"]["order"]))
-            for row in r["hypothesis_i"]:
-                out.append("  (i)  subgroup %s: H^1 = %s %s"
-                           % (row["subgroup"], _fmt_inv(row["h1"]),
-                              "ok" if row["ok"] else "VIOLATED"))
-            for row in r["hypothesis_ii"]:
-                out.append("  (ii) subgroup %s: |H| = %d, res order %d, "
-                           "H^2 = %s %s"
-                           % (row["subgroup"], row["subgroup_order"],
-                              row["res_order"], _fmt_inv(row["h2"]),
-                              "ok" if row["ok"] else "VIOLATED"))
-            for row in r["conclusion"]:
-                out.append("  cup at q = %+d: %s -> %s %s"
-                           % (row["q"], _fmt_inv(row["source"]),
-                              _fmt_inv(row["target"]),
-                              "isomorphism" if row["isomorphism"]
-                              else "NOT an isomorphism"))
-        elif kind == "cone-les":
-            out.append("[cone-les] m = %d: %s" % (r["m"], r["verdict"]))
-            for row in r["rows"]:
-                out.append("  i = %+d: |H(cone)| = %d vs %d * %d %s"
-                           % (row["i"], row["cone_order"],
-                              row["quotient_order"], row["torsion_order"],
-                              "ok" if row["ok"] else "MISMATCH"))
-            for row in r["maps"]:
-                out.append("  i = %+d: |im incl| = %d, |im proj| = %d %s"
-                           % (row["i"], row["inclusion_image"],
-                              row["projection_image"],
-                              "ok" if row["ok"] else "NOT EXACT"))
-        else:
-            if "skipped" in r:
-                out.append("[norm-table] skipped: %s" % r["skipped"])
-            else:
-                out.append("[norm-table] %s" % r["verdict"])
-                for row in r["rows"]:
-                    out.append("  V = %s: H^0/cor = %s vs (G/V)^ab = %s %s"
-                               % (row["subgroup"], _fmt_inv(row["quotient"]),
-                                  _fmt_inv(row["target"]),
-                                  "ok" if row["ok"] else "MISMATCH"))
+        out.extend(render_result(r))
     out.append("work: %d reported rows (deterministic accounting)"
                % report["timing"]["total"])
+    return out
+
+
+def render_result(r: dict) -> List[str]:
+    """The text form of one analysis result, a report's ``as_dict()``."""
+    out = []
+    kind = r["analysis"]
+    if kind == "tate":
+        out.append("[tate] degrees %d..%d" % tuple(r["range"]))
+        for row in r["rows"]:
+            out.append("  H^%+d = %s (order %d, cochain dim %d)"
+                       % (row["q"], _fmt_inv(row["invariants"]),
+                          row["order"], row["dim"]))
+    elif kind == "formation":
+        out.append("[formation] %s" % r["verdict"])
+        for row in r["c1"]:
+            out.append("  (C1) subgroup %s: H^1 = %s %s"
+                       % (row["subgroup"], _fmt_inv(row["h1"]),
+                          "ok" if row["ok"] else "VIOLATED"))
+        for row in r["c2"]:
+            out.append("  (C2) subgroup %s: H^2 = %s, need Z/%d %s"
+                       % (row["subgroup"], _fmt_inv(row["h2"]),
+                          row["required"],
+                          "ok" if row["ok"] else "VIOLATED"))
+        for row in r["c3"]:
+            out.append("  (C3) res %s -> %s: %s"
+                       % (row["upper"], row["lower"],
+                          "compatible" if row["ok"] else "INCOMPATIBLE"))
+        for g in r["generators"]:
+            out.append("  generator on %s: coords %s"
+                       % (g["subgroup"], g["coords"]))
+        if r["fundamental"]:
+            out.append("  fundamental class: coords %s, order %d"
+                       % (r["fundamental"]["coords"],
+                          r["fundamental"]["order"]))
+        if r["reciprocity"]:
+            rec = r["reciprocity"]
+            out.append("  reciprocity %s -> %s: %s, matrix %s"
+                       % (_fmt_inv(rec["source"]), _fmt_inv(rec["target"]),
+                          "isomorphism" if rec["isomorphism"]
+                          else "NOT an isomorphism", rec["matrix"]))
+        for note in r["notes"]:
+            out.append("  note: %s" % note)
+    elif kind == "tate-nakayama":
+        out.append("[tate-nakayama] %s (candidate coords %s, order %d)"
+                   % (r["verdict"], r["candidate"]["coords"],
+                      r["candidate"]["order"]))
+        for row in r["hypothesis_i"]:
+            out.append("  (i)  subgroup %s: H^1 = %s %s"
+                       % (row["subgroup"], _fmt_inv(row["h1"]),
+                          "ok" if row["ok"] else "VIOLATED"))
+        for row in r["hypothesis_ii"]:
+            out.append("  (ii) subgroup %s: |H| = %d, res order %d, "
+                       "H^2 = %s %s"
+                       % (row["subgroup"], row["subgroup_order"],
+                          row["res_order"], _fmt_inv(row["h2"]),
+                          "ok" if row["ok"] else "VIOLATED"))
+        for row in r["conclusion"]:
+            out.append("  cup at q = %+d: %s -> %s %s"
+                       % (row["q"], _fmt_inv(row["source"]),
+                          _fmt_inv(row["target"]),
+                          "isomorphism" if row["isomorphism"]
+                          else "NOT an isomorphism"))
+    elif kind == "cone-les":
+        out.append("[cone-les] m = %d: %s" % (r["m"], r["verdict"]))
+        for row in r["rows"]:
+            out.append("  i = %+d: |H(cone)| = %d vs %d * %d %s"
+                       % (row["i"], row["cone_order"],
+                          row["quotient_order"], row["torsion_order"],
+                          "ok" if row["ok"] else "MISMATCH"))
+        for row in r["maps"]:
+            out.append("  i = %+d: |im incl| = %d, |im proj| = %d %s"
+                       % (row["i"], row["inclusion_image"],
+                          row["projection_image"],
+                          "ok" if row["ok"] else "NOT EXACT"))
+    else:
+        if "skipped" in r:
+            out.append("[norm-table] skipped: %s" % r["skipped"])
+        else:
+            out.append("[norm-table] %s" % r["verdict"])
+            for row in r["rows"]:
+                out.append("  V = %s: H^0/cor = %s vs (G/V)^ab = %s %s"
+                           % (row["subgroup"], _fmt_inv(row["quotient"]),
+                              _fmt_inv(row["target"]),
+                              "ok" if row["ok"] else "MISMATCH"))
     return out
 
 

@@ -15,6 +15,7 @@ generators of H^2(G, C).  Every report carries a flag recording this
 convention.
 """
 
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -30,6 +31,7 @@ from .intlinalg import (
     cokernel_structure,
     eye,
     hstack,
+    int_list,
     zeros,
 )
 from .tate import (
@@ -55,9 +57,7 @@ class FormationReport:
     """Axiom verdicts, the witnessing generator family, and the
     reciprocity data for one (G, C) pair."""
 
-    def __init__(self, group_name: str, coeff_name: str):
-        self.group_name = group_name
-        self.coeff_name = coeff_name
+    def __init__(self):
         self.c1_rows: List[Tuple[tuple, tuple, bool]] = []
         self.c2_rows: List[Tuple[tuple, tuple, int, bool]] = []
         self.c3_rows: List[Tuple[tuple, tuple, bool]] = []
@@ -80,37 +80,36 @@ class FormationReport:
     def verdict(self) -> str:
         return "PASS" if self.passed else "FAIL %s" % self.failure
 
-    def lines(self) -> List[str]:
-        out = ["class formation check: %s with %s"
-               % (self.group_name, self.coeff_name)]
-        for elems, inv, ok in self.c1_rows:
-            out.append("  (C1) subgroup %s: H^1 = %s %s"
-                       % (list(elems), inv or "0", "ok" if ok else "VIOLATED"))
-        for elems, inv, size, ok in self.c2_rows:
-            out.append("  (C2) subgroup %s: H^2 = %s, need Z/%d %s"
-                       % (list(elems), inv or "0", size,
-                          "ok" if ok else "VIOLATED"))
-        for u_el, v_el, ok in self.c3_rows:
-            out.append("  (C3) res %s -> %s: %s"
-                       % (list(u_el), list(v_el),
-                          "compatible" if ok else "INCOMPATIBLE"))
-        if self.generators:
-            out.append("  generators (searched %d candidate families):"
-                       % self.candidates_tried)
-            for elems, coords in self.generators:
-                out.append("    u on %s = %s" % (list(elems), list(coords)))
+    def as_dict(self) -> dict:
+        """The report's JSON form, as the CLI emits it."""
+        out = {
+            "analysis": "formation",
+            "verdict": self.verdict,
+            "first_obstruction": self.failure,
+            "c1": [{"subgroup": int_list(e), "h1": int_list(inv), "ok": ok}
+                   for e, inv, ok in self.c1_rows],
+            "c2": [{"subgroup": int_list(e), "h2": int_list(inv),
+                    "required": int(n), "ok": ok}
+                   for e, inv, n, ok in self.c2_rows],
+            "c3": [{"upper": int_list(u), "lower": int_list(v), "ok": ok}
+                   for u, v, ok in self.c3_rows],
+            "generators": [{"subgroup": int_list(e), "coords": int_list(c)}
+                           for e, c in self.generators],
+            "candidates_tried": self.candidates_tried,
+            "fundamental": None,
+            "reciprocity": None,
+            "notes": list(self.notes),
+        }
         if self.fundamental is not None:
-            out.append("  fundamental class: coords %s, order %d"
-                       % (list(self.fundamental.coords),
-                          self.fundamental.order))
+            out["fundamental"] = {"coords": int_list(self.fundamental.coords),
+                                  "order": int(self.fundamental.order)}
         if self.reciprocity_matrix is not None:
-            out.append("  reciprocity H^0 = %s -> G^ab = %s: %s"
-                       % (self.h0_invariants or "0", self.ab_invariants or "0",
-                          "isomorphism" if self.reciprocity_verdict
-                          else "NOT an isomorphism"))
-        for note in self.notes:
-            out.append("  note: %s" % note)
-        out.append("verdict: %s" % self.verdict)
+            out["reciprocity"] = {
+                "matrix": [int_list(row) for row in self.reciprocity_matrix],
+                "source": int_list(self.h0_invariants),
+                "target": int_list(self.ab_invariants),
+                "isomorphism": bool(self.reciprocity_verdict),
+            }
         return out
 
 
@@ -125,7 +124,7 @@ class _SubgroupData:
 
 
 def _coprime_residues(n: int) -> List[int]:
-    return [k for k in range(1, n) if np.gcd(k, n) == 1]
+    return [k for k in range(1, n) if gcd(k, n) == 1]
 
 
 def check_class_formation(X, C: GComplex) -> FormationReport:
@@ -135,7 +134,7 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
     obstruction.  On a pass the report also carries the fundamental class
     and the reciprocity isomorphism."""
     G = X.group
-    report = FormationReport(G.name, C.name)
+    report = FormationReport()
     subs = all_subgroups(G)
     data = {s.elements: _SubgroupData(X, C, s) for s in subs}
 
@@ -287,13 +286,15 @@ class NormGroupTable:
     def passed(self) -> bool:
         return all(ok for *_, ok in self.rows)
 
-    def lines(self) -> List[str]:
-        out = ["norm-group correspondence"]
-        for elems, quot, ab, ok in self.rows:
-            out.append("  V = %s: H^0/cor = %s vs (G/V)^ab = %s %s"
-                       % (list(elems), quot or "0", ab or "0",
-                          "ok" if ok else "MISMATCH"))
-        return out
+    def as_dict(self) -> dict:
+        """The table's JSON form, as the CLI emits it."""
+        return {
+            "analysis": "norm-table",
+            "rows": [{"subgroup": int_list(e), "quotient": int_list(q),
+                      "target": int_list(t), "ok": ok}
+                     for e, q, t, ok in self.rows],
+            "verdict": "ok" if self.passed else "MISMATCH",
+        }
 
 
 def quotient_abelianization(abG: AbGroup, coords: tuple,

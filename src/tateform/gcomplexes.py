@@ -172,8 +172,10 @@ def tensor_power_shifted(M: GModule, n: int, cap: int = TENSOR_POWER_CAP) -> GCo
         raise ValidationError("tensor power must be nonnegative")
     if n == 0:
         return concentrate(zmodule(M.group), 0)
-    if M.gens**n > cap:
-        raise CapExceeded(f"raw tensor power size {M.gens ** n} exceeds cap {cap}")
+    # n > cap is refused first: a base of 0 or 1 generators passes the size
+    # test at any n, and a large n would make gens**n itself huge
+    if n > cap or M.gens**n > cap:
+        raise CapExceeded(f"raw tensor power {M.gens}^{n} exceeds cap {cap}")
     out = M
     for _ in range(n - 1):
         out = tensor(out, M)

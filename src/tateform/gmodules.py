@@ -139,10 +139,16 @@ def finite_field_units(p: int, f: int, n: int) -> GModule:
     The group is cyclic of order p^(f n) - 1 and the Frobenius generator
     acts by multiplication by p^f.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p < 2:
         raise ValidationError(f"p = {p} is not prime")
     if f < 1 or n < 1:
         raise ValidationError("f and n must be positive")
+    # p >= 2, so p^(f n) <= FIELD_SIZE_CAP needs p <= FIELD_SIZE_CAP and
+    # 2^(f n) <= FIELD_SIZE_CAP; checked before any trial division or power
+    if p > FIELD_SIZE_CAP or f * n >= FIELD_SIZE_CAP.bit_length():
+        raise CapExceeded(f"field size {p}^{f * n} exceeds cap {FIELD_SIZE_CAP}")
+    if any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        raise ValidationError(f"p = {p} is not prime")
     q = p ** (f * n)
     if q > FIELD_SIZE_CAP:
         raise CapExceeded(f"field size {q} exceeds cap {FIELD_SIZE_CAP}")

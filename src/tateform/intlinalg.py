@@ -66,6 +66,11 @@ def intmat(rows: Sequence[Sequence[int]]) -> IntMatrix:
     return arr
 
 
+def int_list(xs: Sequence[int]) -> list[int]:
+    """The entries as plain Python ints, for the JSON reports."""
+    return [int(x) for x in xs]
+
+
 def zeros(r: int, c: int) -> IntMatrix:
     return np.zeros((r, c), dtype=object)
 

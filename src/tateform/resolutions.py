@@ -31,6 +31,7 @@ from .intlinalg import (
 
 BAR_CAP = 20000
 PEEL_RANK_CAP = 64
+WINDOW_CAP = 16
 
 
 def free_full_matrix(G: FiniteGroup, rank_target: int, gen: IntMatrix) -> IntMatrix:
@@ -85,8 +86,8 @@ class FreeResolution:
     ranks[i] is the Z[G]-rank of P_i; dgens[i] (i >= 1) is the generator
     matrix of d_i: P_i -> P_{i-1}; aug is the full 1 x (ranks[0]*|G|) row
     of the augmentation P_0 -> Z.  Validation of d o d = 0 and exactness
-    is deliberately deferred to exactness_audit, because full-matrix
-    composites are quadratically larger than the stored data.
+    is deliberately deferred to validate_complete_resolution, because
+    full-matrix composites are quadratically larger than the stored data.
     """
 
     def __init__(self, G: FiniteGroup, ranks: List[int], dgens: List[Optional[IntMatrix]],
@@ -118,31 +119,6 @@ class FreeResolution:
     def full(self, i: int) -> IntMatrix:
         """Full Z-matrix of d_i on the induced bases."""
         return free_full_matrix(self.group, self.ranks[i - 1], self.dgens[i])
-
-    def exactness_audit(self, max_zdim: int = 1200) -> List[Tuple[int, str]]:
-        """Check ker = im at every degree where the matrices fit under
-        max_zdim.  Returns (degree, verdict) pairs; verdicts are 'exact',
-        'FAIL: ...' or 'skipped (size)'.
-        """
-        verdicts = []
-        n = self.group.order
-        prev_kernel = kernel_basis(self.aug)
-        for i in range(1, self.length + 1):
-            if self.ranks[i] * n > max_zdim or self.ranks[i - 1] * n > max_zdim:
-                verdicts.append((i - 1, "skipped (size)"))
-                prev_kernel = None
-                continue
-            d = self.full(i)
-            if prev_kernel is not None:
-                image = lattice_basis(d)
-                verdict = "exact"
-                if not _same_lattice(image, prev_kernel):
-                    verdict = "FAIL: ker != im at degree %d" % (i - 1)
-                verdicts.append((i - 1, verdict))
-            else:
-                verdicts.append((i - 1, "skipped (size)"))
-            prev_kernel = kernel_basis(d)
-        return verdicts
 
 
 def _same_lattice(A: IntMatrix, B: IntMatrix) -> bool:
@@ -270,7 +246,11 @@ def peeled_resolution(G: FiniteGroup, length: int,
 def resolution_for(G: FiniteGroup, length: int, engine: str = "auto",
                    cap: int = BAR_CAP) -> FreeResolution:
     """Engine dispatch: periodic for cyclic groups, peeled otherwise.
-    The bar resolution is available by explicit request."""
+    The bar resolution is available by explicit request.  Lengths above
+    WINDOW_CAP are refused before any degree is built."""
+    if length > WINDOW_CAP:
+        raise CapExceeded("resolution length %d exceeds cap %d"
+                          % (length, WINDOW_CAP))
     if engine == "auto":
         engine = "periodic" if G.is_cyclic() else "peeled"
     if engine == "periodic":

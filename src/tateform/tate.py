@@ -18,6 +18,7 @@ the abelianization, the Tate-Nakayama hypothesis checker, the multiplication
 cone order bookkeeping, and diagonal approximations for cyclic groups.
 """
 
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,6 +43,7 @@ from .intlinalg import (
     block_diag,
     eye,
     hstack,
+    int_list,
     is_zero,
     kron,
     matmul,
@@ -358,10 +360,6 @@ class SubgroupResolution(CompleteResolution):
         return out
 
 
-def restrict_resolution(X, H: Subgroup) -> SubgroupResolution:
-    return SubgroupResolution(X, H)
-
-
 def restrict_complex(C: GComplex, H: Subgroup) -> GComplex:
     """The coefficient complex with every term viewed over the subgroup."""
     Hgrp, _ = H.as_group()
@@ -474,20 +472,6 @@ class SubgroupPair:
     def cor_matrix(self, q: int) -> IntMatrix:
         return induced_map(self.tate_H, self.tate_G, self.cor_cochain(q),
                            q, q).matrix
-
-
-def restriction(X, X_H: SubgroupResolution, C: GComplex,
-                x: TateClass) -> TateClass:
-    """Restriction of a class to the subgroup carried by X_H."""
-    pair = SubgroupPair(X, C, X_H.subgroup, x.degree, x.degree)
-    return pair.res_class(x)
-
-
-def corestriction(X, X_H: SubgroupResolution, C: GComplex,
-                  x: TateClass) -> TateClass:
-    """Transfer of a subgroup class back up to the group."""
-    pair = SubgroupPair(X, C, X_H.subgroup, x.degree, x.degree)
-    return pair.cor_class(x)
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +644,13 @@ def iota_abelianization(X, tz: Optional[TateGroups] = None) -> AbMap:
 
 
 class TateNakayamaReport:
-    """Hypothesis and conclusion records for the cup-isomorphism theorem."""
+    """Hypothesis and conclusion records for the cup-isomorphism theorem,
+    for the candidate class a over the degrees [qlo, qhi]."""
 
-    def __init__(self):
+    def __init__(self, candidate: TateClass, qlo: int, qhi: int):
+        self.candidate = candidate
+        self.qlo = qlo
+        self.qhi = qhi
         self.h1_rows: List[Tuple[tuple, tuple, bool]] = []
         self.res_rows: List[Tuple[tuple, int, int, tuple, bool]] = []
         self.conclusion: List[Tuple[int, tuple, tuple, bool]] = []
@@ -680,21 +668,26 @@ class TateNakayamaReport:
             return "PASS"
         return "FAIL conclusion"
 
-    def lines(self) -> List[str]:
-        out = []
-        for elems, inv, ok in self.h1_rows:
-            out.append("  (i)  H^1 over subgroup %s: %s %s"
-                       % (list(elems), inv or "0", "ok" if ok else "VIOLATED"))
-        for elems, size, order, inv, ok in self.res_rows:
-            out.append("  (ii) subgroup %s: |H| = %d, res(a) order %d, "
-                       "H^2 = %s %s" % (list(elems), size, order, inv or "0",
-                                        "ok" if ok else "VIOLATED"))
-        for q, src, tgt, ok in self.conclusion:
-            out.append("  cup at q = %+d: %s -> %s %s"
-                       % (q, src or "0", tgt or "0",
-                          "isomorphism" if ok else "NOT an isomorphism"))
-        out.append("verdict: %s" % self.verdict)
-        return out
+    def as_dict(self) -> dict:
+        """The report's JSON form, as the CLI emits it."""
+        return {
+            "analysis": "tate-nakayama",
+            "range": [self.qlo, self.qhi],
+            "candidate": {"coords": int_list(self.candidate.coords),
+                          "order": int(self.candidate.order)},
+            "hypothesis_i": [
+                {"subgroup": int_list(e), "h1": int_list(inv), "ok": ok}
+                for e, inv, ok in self.h1_rows],
+            "hypothesis_ii": [
+                {"subgroup": int_list(e), "subgroup_order": int(size),
+                 "res_order": int(order), "h2": int_list(inv), "ok": ok}
+                for e, size, order, inv, ok in self.res_rows],
+            "conclusion": [
+                {"q": q, "source": int_list(src), "target": int_list(tgt),
+                 "isomorphism": ok}
+                for q, src, tgt, ok in self.conclusion],
+            "verdict": self.verdict,
+        }
 
 
 def tate_nakayama_check(X, C: GComplex, a: TateClass,
@@ -703,7 +696,7 @@ def tate_nakayama_check(X, C: GComplex, a: TateClass,
     (ii) res_H(a) generates H^2(H, C) and has order |H|, and (when those
     hold) that cupping with a is an isomorphism in each requested degree."""
     G = X.group
-    report = TateNakayamaReport()
+    report = TateNakayamaReport(a, qlo, qhi)
     ambient = tate_hypercohomology(X, C, 1, 2)
     for H in all_subgroups(G):
         pair = SubgroupPair(X, C, H, 1, 2, ambient=ambient)
@@ -735,10 +728,12 @@ def tate_nakayama_check(X, C: GComplex, a: TateClass,
 
 class ConeReport:
     """Order bookkeeping for the exact sequences induced by the cone of
-    multiplication by m."""
+    multiplication by m, over the degrees [ilo, ihi]."""
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, ilo: int, ihi: int):
         self.m = m
+        self.ilo = ilo
+        self.ihi = ihi
         self.rows: List[Tuple[int, int, int, int, bool]] = []
         self.map_rows: List[Tuple[int, int, int, bool]] = []
 
@@ -747,22 +742,27 @@ class ConeReport:
         return (all(ok for *_, ok in self.rows)
                 and all(ok for *_, ok in self.map_rows))
 
-    def lines(self) -> List[str]:
-        out = ["cone of multiplication by %d" % self.m]
-        for i, lhs, quot, tors, ok in self.rows:
-            out.append("  i = %+d: |H(cone)| = %d vs |H/m| * |_m H| = %d * %d"
-                       " %s" % (i, lhs, quot, tors, "ok" if ok else "MISMATCH"))
-        for i, imi, imp, ok in self.map_rows:
-            out.append("  i = %+d: |im incl| = %d, |im proj| = %d %s"
-                       % (i, imi, imp, "ok" if ok else "NOT EXACT"))
-        return out
+    def as_dict(self) -> dict:
+        """The report's JSON form, as the CLI emits it."""
+        return {
+            "analysis": "cone-les",
+            "m": self.m,
+            "range": [self.ilo, self.ihi],
+            "rows": [{"i": i, "cone_order": int(lhs), "quotient_order": int(qo),
+                      "torsion_order": int(to), "ok": ok}
+                     for i, lhs, qo, to, ok in self.rows],
+            "maps": [{"i": i, "inclusion_image": int(a),
+                      "projection_image": int(b), "ok": ok}
+                     for i, a, b, ok in self.map_rows],
+            "verdict": "ok" if self.passed else "MISMATCH",
+        }
 
 
 def _mod_m_order(invariants: Tuple[int, ...], m: int) -> int:
     out = 1
     for t in invariants:
-        out *= np.gcd(int(t), m) if t else m
-    return int(out)
+        out *= gcd(int(t), m) if t else m
+    return out
 
 
 def cone_les_check(X, C: GComplex, m: int, ilo: int = -2,
@@ -773,7 +773,7 @@ def cone_les_check(X, C: GComplex, m: int, ilo: int = -2,
     tri = cone_of_mult(C, m)
     tC = tate_hypercohomology(X, C, ilo, ihi + 1)
     tK = tate_hypercohomology(X, tri.cone, ilo, ihi)
-    report = ConeReport(m)
+    report = ConeReport(m, ilo, ihi)
     for i in range(ilo, ihi + 1):
         lhs = tK.order(i)
         quot = _mod_m_order(tC.invariants(i), m)

@@ -119,6 +119,17 @@ class TestGolden:
         with open(os.path.join(GOLDEN_DIR, "%s.json" % name)) as fh:
             assert out == fh.read()
 
+    @pytest.mark.parametrize(
+        "name", ["hilbert90-f4", "unramified-cyclic-4-norm-table",
+                 "klein-four-z", "tn-cyclic-4", "tn-klein-reject",
+                 "cone-les-z2"])
+    def test_demo_text_matches_golden_file(self, name):
+        # between them these cover every analysis kind and both verdicts
+        code, out, _ = invoke(["demo", name])
+        assert code == 0
+        with open(os.path.join(GOLDEN_DIR, "%s.txt" % name)) as fh:
+            assert out == fh.read()
+
     def test_three_runs_byte_identical(self):
         outs = {invoke(["demo", "s3-z", "--format", "json"])[1]
                 for _ in range(3)}

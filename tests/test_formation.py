@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tateform import formation
+from tateform.cli import render_result
 from tateform.errors import ValidationError
 from tateform.formation import (
     DENSE_NOTE,
@@ -102,7 +103,7 @@ class TestFormationPass:
         rep = formation_report(4)
         assert LEX_NOTE in rep.notes
         assert DENSE_NOTE in rep.notes
-        text = "\n".join(rep.lines())
+        text = "\n".join(render_result(rep.as_dict()))
         assert "lexicographically least" in text
         assert "dense (finite level: surjective)" in text
 

@@ -107,8 +107,7 @@ class TestBar:
 
     def test_exactness_z3(self):
         res = bar_resolution(make_cyclic(3), 3)
-        verdicts = res.exactness_audit()
-        assert all(v == "exact" for _, v in verdicts)
+        assert validate_complete_resolution(complete_resolution(res)).passed
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -138,21 +137,18 @@ class TestPeriodic:
 
     def test_exactness_z6(self):
         res = periodic_resolution(make_cyclic(6), 4)
-        verdicts = res.exactness_audit()
-        assert all(v == "exact" for _, v in verdicts)
+        assert validate_complete_resolution(complete_resolution(res)).passed
 
 
 class TestPeeled:
     def test_klein_exact(self):
         G = direct_product(make_cyclic(2), make_cyclic(2))
         res = peeled_resolution(G, 4)
-        verdicts = res.exactness_audit()
-        assert all(v == "exact" for _, v in verdicts)
+        assert validate_complete_resolution(complete_resolution(res)).passed
 
     def test_s3_exact(self):
         res = peeled_resolution(symmetric_group(3), 4)
-        verdicts = res.exactness_audit(max_zdim=2000)
-        assert all(v == "exact" for _, v in verdicts)
+        assert validate_complete_resolution(complete_resolution(res)).passed
 
     def test_cyclic_matches_minimal_rank(self):
         res = peeled_resolution(make_cyclic(4), 3)
@@ -252,5 +248,4 @@ class TestAuditCorruption:
         G = make_cyclic(4)
         res = periodic_resolution(G, 3)
         res.dgens[2] = np.full((4, 1), 2, dtype=object)  # 2*norm: image too small
-        verdicts = res.exactness_audit()
-        assert any(v.startswith("FAIL") for _, v in verdicts)
+        assert not validate_complete_resolution(complete_resolution(res)).passed

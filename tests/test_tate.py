@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tateform.classical import herbrand_quotient
+from tateform.cli import render_result
 from tateform.errors import LiftingError, ValidationError, WindowError
 from tateform.gcomplexes import GComplex, concentrate, shift
 from tateform.gmodules import (
@@ -36,15 +37,12 @@ from tateform.tate import (
     SubgroupPair,
     SubgroupResolution,
     TotalComplex,
-    corestriction,
     cone_les_check,
     cup_from_cochain,
     cup_with,
     diagonal_approximation,
     iota_abelianization,
     remark_agreement,
-    restriction,
-    restrict_resolution,
     tate_hypercohomology,
     tate_nakayama_check,
 )
@@ -280,19 +278,6 @@ class TestRestrictionCorestriction:
         for k, gk in enumerate(pair.model.transversal):
             blk = cmat[:, k * g:(k + 1) * g]
             assert np.array_equal(blk, M.act(G.inv(gk)))
-
-    def test_free_function_wrappers(self):
-        G, X = cyclic_setup(4)
-        C = concentrate(zmodule(G), 0)
-        H = subgroup(G, [2])
-        XH = restrict_resolution(X, H)
-        T = tate_hypercohomology(X, C, 2, 2)
-        x = T.class_at(2, (1,))
-        down = restriction(X, XH, C, x)
-        assert down.order == 2
-        back = corestriction(X, XH, C, down)
-        # cor(res(x)) = 2x has order 2 in Z/4
-        assert back.coords == (2,)
 
     def test_subgroup_model_is_byte_identical_for_whole_group(self):
         G, X = cyclic_setup(4)
@@ -539,13 +524,13 @@ class TestConeOrders:
         G, X = cyclic_setup(2)
         C = concentrate(zmodule(G), 0)
         rep = cone_les_check(X, C, m, -2, 2)
-        assert rep.passed, "\n".join(rep.lines())
+        assert rep.passed, "\n".join(render_result(rep.as_dict()))
 
     def test_z4_torsion_module(self):
         G, X = cyclic_setup(4)
         C = concentrate(trivial_cyclic(G, 4), 0)
         rep = cone_les_check(X, C, 2, -2, 2)
-        assert rep.passed, "\n".join(rep.lines())
+        assert rep.passed, "\n".join(render_result(rep.as_dict()))
 
     def test_coprime_multiplier_gives_trivial_cone_groups(self):
         G, X = cyclic_setup(2)
