@@ -36,13 +36,10 @@ from .intlinalg import (
 )
 from .tate import (
     SubgroupPair,
-    SubgroupResolution,
     TateClass,
     TateGroups,
-    TotalComplex,
     cup_with,
     iota_abelianization,
-    restrict_complex,
     restriction_blocks,
     tate_hypercohomology,
     tate_nakayama_check,
@@ -113,16 +110,6 @@ class FormationReport:
         return out
 
 
-class _SubgroupData:
-    __slots__ = ("sub", "model", "CH", "tate")
-
-    def __init__(self, X, C: GComplex, sub: Subgroup):
-        self.sub = sub
-        self.model = SubgroupResolution(X, sub)
-        self.CH = restrict_complex(C, sub)
-        self.tate = TateGroups(TotalComplex(self.model, self.CH, 1, 2), 1, 2)
-
-
 def _coprime_residues(n: int) -> List[int]:
     return [k for k in range(1, n) if gcd(k, n) == 1]
 
@@ -136,16 +123,23 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
     G = X.group
     report = FormationReport()
     subs = all_subgroups(G)
-    data = {s.elements: _SubgroupData(X, C, s) for s in subs}
+    # G's groups are the ambient ones on X; each proper subgroup gets one
+    # SubgroupPair sharing them
+    ambient = tate_hypercohomology(X, C, 1, 2)
+    pairs = {s.elements: SubgroupPair(X, C, s, 1, 2, ambient=ambient)
+             for s in subs if not s.is_whole_group()}
+
+    def tate(s: Subgroup) -> TateGroups:
+        return ambient if s.is_whole_group() else pairs[s.elements].tate_H
 
     for s in subs:
-        inv1 = data[s.elements].tate.invariants(1)
+        inv1 = tate(s).invariants(1)
         ok = inv1 == ()
         report.c1_rows.append((s.elements, inv1, ok))
         if not ok and report.failure is None:
             report.failure = "(C1) at subgroup %s" % list(s.elements)
     for s in subs:
-        inv2 = data[s.elements].tate.invariants(2)
+        inv2 = tate(s).invariants(2)
         ok = inv2 == ((s.order,) if s.order > 1 else ())
         report.c2_rows.append((s.elements, inv2, s.order, ok))
         if not ok and report.failure is None:
@@ -157,16 +151,17 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
     # over the phi(|G|) generators upstairs and each candidate either
     # propagates to a full family or dies at the first subgroup where the
     # restriction drops order
-    whole = data[whole_subgroup(G).elements]
+    whole = whole_subgroup(G)
     rmats: Dict[Tuple[tuple, tuple], IntMatrix] = {}
 
-    def restriction(du: _SubgroupData, dv: _SubgroupData) -> IntMatrix:
+    def restriction(u: Subgroup, v: Subgroup) -> IntMatrix:
         # one matrix per nested pair U >= V: the candidate search and the
         # audit below both restrict along the pairs through G
-        key = (du.sub.elements, dv.sub.elements)
+        key = (u.elements, v.elements)
         if key not in rmats:
-            rmats[key] = restriction_blocks(du.model, dv.model, C,
-                                            du.tate.total, dv.tate.total, 2)
+            src = None if u.is_whole_group() else pairs[u.elements].model
+            rmats[key] = restriction_blocks(src, pairs[v.elements].model, C,
+                                            tate(u).total, tate(v).total, 2)
         return rmats[key]
 
     if G.order == 1:
@@ -176,17 +171,16 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
     found = []
     for coords in candidates:
         report.candidates_tried += 1
-        u_G = whole.tate.class_at(2, coords)
+        u_G = ambient.class_at(2, coords)
         if u_G.order != G.order:
             continue
-        trial = {whole_subgroup(G).elements: u_G}
+        trial = {whole.elements: u_G}
         good = True
         for s in subs:
             if s.is_whole_group():
                 continue
-            d = data[s.elements]
-            u_H = d.tate.classify_class(
-                2, restriction(whole, d) @ whole.tate.element(2, coords))
+            u_H = tate(s).classify_class(
+                2, restriction(whole, s) @ ambient.element(2, coords))
             if u_H.order != s.order:
                 good = False
                 break
@@ -206,9 +200,8 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
         for v in subs:
             if v.order >= u.order or not set(v.elements) <= set(u.elements):
                 continue
-            du, dv = data[u.elements], data[v.elements]
-            cocycle = du.tate.element(2, family[u.elements].coords)
-            got = dv.tate.classify_class(2, restriction(du, dv) @ cocycle)
+            cocycle = tate(u).element(2, family[u.elements].coords)
+            got = tate(v).classify_class(2, restriction(u, v) @ cocycle)
             ok = got.coords == family[v.elements].coords
             report.c3_rows.append((u.elements, v.elements, ok))
             if not ok and report.failure is None:
@@ -217,7 +210,7 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
     if report.failure is not None:
         return report
 
-    report.fundamental = family[whole_subgroup(G).elements]
+    report.fundamental = family[whole.elements]
     rec = reciprocity_map(X, C, report.fundamental)
     report.reciprocity = rec
     report.reciprocity_matrix = rec.matrix

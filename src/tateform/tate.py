@@ -432,7 +432,10 @@ def corestriction_blocks(model: SubgroupResolution, C: GComplex,
 
 class SubgroupPair:
     """Tate groups of a group and one subgroup over a degree range, with
-    the restriction and corestriction maps between them."""
+    the restriction and corestriction maps between them.  ``ambient``, when
+    given, is G's tate_hypercohomology(X, C, qlo, qhi), shared by callers
+    that visit many subgroups.  Every degree of the range is computed on
+    both sides, its representatives checked as cocycles; none is skipped."""
 
     def __init__(self, X, C: GComplex, H: Subgroup, qlo: int, qhi: int,
                  ambient: Optional[TateGroups] = None):
@@ -607,7 +610,7 @@ def cup_from_cochain(X, C: GComplex, a_vec: np.ndarray, q: int,
 # degree -2 with Z coefficients vs the abelianization
 
 
-def iota_abelianization(X, tz: Optional[TateGroups] = None) -> AbMap:
+def iota_abelianization(X) -> AbMap:
     """H^{-2}(G, Z) -> G^ab via the augmentation ideal: a cocycle w on X^2
     produces the element h = -(w~ o d^1)(generator) of the augmentation
     ideal, whose coordinates map onto the abelianization.  The overall sign
@@ -617,8 +620,7 @@ def iota_abelianization(X, tz: Optional[TateGroups] = None) -> AbMap:
     if X.rank(1) != 1:
         raise ValidationError("identification needs a rank-1 degree-0 term")
     ab, coords_of = abelianization(G)
-    if tz is None:
-        tz = tate_hypercohomology(X, concentrate(zmodule(G), 0), -2, -2)
+    tz = tate_hypercohomology(X, concentrate(zmodule(G), 0), -2, -2)
     grp = tz.group(-2)
     dgen1 = X.diff_gen(1)
     cols = []

@@ -19,15 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tateform import cli, formation, groups
+from tateform import cli, formation, groups, intlinalg, tate
 from tateform.formation import check_class_formation
 from tateform.gmodules import zmodule
 from tateform.gcomplexes import concentrate
 from tateform.intlinalg import TRANSFORMS, eye, intmat, smith_normal_form
 from tateform.resolutions import (
+    bar_resolution,
     complete_resolution,
     peeled_resolution,
     periodic_resolution,
+    validate_complete_resolution,
 )
 
 NEEDS = [" ".join(c) for r in range(len(TRANSFORMS) + 1)
@@ -196,3 +198,33 @@ def test_each_restriction_matrix_is_built_once(monkeypatch):
     # shared by the candidate search and the audit
     assert len(report.c3_rows) == 12
     assert len(calls) == 12
+
+
+def test_formation_models_each_proper_subgroup_once(monkeypatch):
+    # G's own groups are the ambient ones on X, so only the five proper
+    # subgroups of Z/12 get a subgroup model
+    G = groups.make_cyclic(12)
+    X = complete_resolution(periodic_resolution(G, 4))
+    calls = _counting(monkeypatch, tate.SubgroupResolution, "__init__")
+    assert check_class_formation(X, concentrate(zmodule(G), 0)).passed
+    assert len(calls) == 5
+
+
+C2 = groups.make_cyclic(2)
+
+
+@pytest.mark.parametrize("build, G", [
+    (periodic_resolution, groups.make_cyclic(6)),
+    (peeled_resolution, groups.direct_product(C2, C2)),
+    (bar_resolution, groups.make_cyclic(3)),
+    (peeled_resolution, groups.symmetric_group(3)),
+], ids=["periodic-z6", "peeled-c2xc2", "bar-z3", "peeled-s3"])
+def test_exactness_audit_eliminates_each_map_at_most_twice(monkeypatch, build, G):
+    # two per interior degree (the outgoing map's kernel and the incoming
+    # map's image), one for the surjectivity of the augmentation and two
+    # each for the augmented segment and the splice: 6 * 2 + 1 + 2 + 2
+    X = complete_resolution(build(G, 4))
+    calls = _counting(monkeypatch, intlinalg, "smith_normal_form")
+    audit = validate_complete_resolution(X)
+    assert audit.passed
+    assert len(calls) <= 17

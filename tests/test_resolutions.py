@@ -237,6 +237,15 @@ class TestValidation:
         audit = validate_complete_resolution(X, max_zdim=30)
         assert any(v == "skipped (size)" for _, _, v in audit.entries)
 
+    @pytest.mark.parametrize("max_zdim", [2, 30])
+    def test_skipped_degree_does_not_pass(self, max_zdim):
+        # 2 skips all six interior degrees, 30 the two largest
+        X = complete_resolution(bar_resolution(make_cyclic(3), 4))
+        audit = validate_complete_resolution(X, max_zdim=max_zdim)
+        skipped = [q for q, _, v in audit.entries if v == "skipped (size)"]
+        assert skipped and not any(v.startswith("FAIL") for _, _, v in audit.entries)
+        assert audit.passed is False
+
     def test_report_lines_mention_ranks(self):
         X = complete_resolution(periodic_resolution(make_cyclic(2), 2))
         text = "\n".join(validate_complete_resolution(X).lines())
