@@ -10,9 +10,13 @@ input of at least 256 entries, all below 2^30, is eliminated on int64
 arrays under a guard that keeps every entry below 2^62, and s and the
 carried transforms move to object storage at the first row or column
 operation the guard cannot clear.  On int64 storage a pass that clears
-three or more entries of a column (row) is one array operation.  The
-pivot sequence is the same on either storage, and every returned matrix
-is converted back to Python ints, so callers never see int64.
+three or more entries of a column (row) is one array operation, and the
+elimination keeps each row's smallest nonzero |entry|, refreshed for the
+rows a row clear changes, so a pivot is found by one argmin over
+those row minima and not by a scan of the whole remaining block; object
+storage keeps the scan.  The pivot sequence is the same on either
+storage, and every returned matrix is converted back to Python ints, so
+callers never see int64.
 
 Matrix products outside the elimination (the d o d and cocycle audits,
 homology's representatives, the solves) go through ``matmul``, guarded
@@ -195,6 +199,9 @@ _INT64_MIN_CELLS = 256
 # than as one array operation, whose fancy indexing costs about as much
 # as three single-line operations.
 _CLEAR_MIN_LINES = 3
+# Seeding the row minima takes |s| a block of rows of at most this many
+# entries at a time, not the whole matrix at once.
+_SEED_CELLS = 1 << 16
 
 
 def _working_copy(a: IntMatrix) -> tuple[np.ndarray, Optional[int]]:
@@ -222,7 +229,13 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
     the full call.
 
     Ties between candidate pivots of equal absolute value break toward the
-    smallest (row, column) pair, so the output is deterministic.
+    smallest (row, column) pair, so the output is deterministic.  On int64
+    storage the pivot is read off the row minima (``rowmin``): the first
+    row whose smallest nonzero |entry| is least, and the first column of
+    that row holding it, which is the same first minimum in row-major
+    order that a scan of the remaining block finds.  The minima are seeded
+    a block of rows at a time and refreshed for every row a row clear
+    changes; a promotion to object storage drops them.
 
     Storage (see the module docstring): an int64 run keeps every entry
     below 2^62 under a guard that tracks a bound per *pass*, the run of
@@ -259,13 +272,13 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
     def grow(step):
         # Make room for adding multiples of the pass's source line whose
         # quotients sum to step in absolute value.
-        nonlocal bound, acc, s, u, u_inv, v, v_inv
+        nonlocal bound, acc, s, u, u_inv, v, v_inv, rowmin
         if bound * (acc + step) >= _INT64_ROOM:
             live = [s[t:, t:]] + [x for x in (u, u_inv, v, v_inv) if x is not None]
             bound = max(_max_abs(x) for x in live)
             acc = 1
             if bound * (acc + step) >= _INT64_ROOM:
-                bound = None
+                bound = rowmin = None
                 s, u, u_inv, v, v_inv = (
                     None if x is None else x.astype(object)
                     for x in (s, u, u_inv, v, v_inv))
@@ -290,6 +303,8 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
             return
         w, x, x_inv = lines[cols]
         w[[i, j], :] = w[[j, i], :]
+        if not cols and rowmin is not None:
+            rowmin[[i, j]] = rowmin[[j, i]]
         if x is not None:
             x[[i, j], :] = x[[j, i], :]
         if x_inv is not None:
@@ -313,7 +328,13 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
         when line i is reduced, so the quotients are known up front: on
         int64 storage a pass over at least _CLEAR_MIN_LINES nonzero lines
         is one array operation under one guard step of sum |q|; otherwise
-        the lines are reduced one at a time."""
+        the lines are reduced one at a time.
+
+        A row clear refreshes the row minima of the rows it changed.  The
+        pivot row's minimum goes stale under the operations only it takes
+        (a column clear, a divisibility step), but a row swapped below the
+        pivot keeps a nonzero entry in column t until a later row clear of
+        the same step reduces it, and refreshes it."""
         w = lines[cols][0]
         rows = np.nonzero(w[t + 1:, t])[0] + (t + 1)
         if bound is not None and len(rows) >= _CLEAR_MIN_LINES:
@@ -330,12 +351,16 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
                     x[rows, :] += q[:, None] * x[t, :]
                 if x_inv is not None:
                     x_inv[:, t] -= x_inv[:, rows] @ q
+                if not cols:
+                    refresh(rows)
                 if len(cut):
                     swap(cols, t, rows[-1])
                 return bool(len(cut))
         for i in rows:
             add(cols, i, t, -int(w[i, t] // w[t, t]))
             w = lines[cols][0]  # add may have moved s to object storage
+            if not cols:
+                refresh([i])
             if w[i, t] != 0:
                 swap(cols, t, i)
                 return True
@@ -348,9 +373,25 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
         if u_inv is not None:
             u_inv[:, i] = -u_inv[:, i]
 
+    def refresh(rows):
+        # The row minima of rows of s that row operations at step t
+        # changed; left of t those rows are zero.  A no-op on object
+        # storage.
+        if rowmin is not None:
+            mag = np.abs(s[rows, t:])
+            rowmin[rows] = np.where(mag == 0, _INT64_ROOM, mag).min(axis=1)
+
     def find_pivot(t):
         """(row, col) of the smallest |entry| in s[t:, t:], ties by
-        (row, col): the first minimum in row-major order."""
+        (row, col): the first minimum in row-major order.  With row minima
+        that is the first row holding the least minimum, and its first
+        column holding that value; on object storage, one scan."""
+        if rowmin is not None:
+            r = t + int(np.argmin(rowmin[t:]))
+            least = rowmin[r]
+            if least == _INT64_ROOM:
+                return None
+            return r, t + int(np.argmax(np.abs(s[r, t:]) == least))
         rest = s[t:, t:]
         rows, cols = np.nonzero(rest)
         if not len(rows):
@@ -358,7 +399,15 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
         k = int(np.argmin(np.abs(rest[rows, cols])))
         return t + int(rows[k]), t + int(cols[k])
 
+    # On int64 storage rowmin[i] is the smallest nonzero |entry| of row i
+    # (_INT64_ROOM for a zero row), current for every row below the pivot.
     t = 0
+    rowmin = None
+    if bound is not None and min(m, n):
+        rowmin = np.empty(m, dtype=np.int64)
+        step = max(1, _SEED_CELLS // n)
+        for i in range(0, m, step):
+            refresh(np.arange(i, min(i + step, m)))
     while t < min(m, n):
         best = find_pivot(t)
         if best is None:

@@ -10,7 +10,7 @@ acting, which keeps the stored data |G| times smaller than the full
 Z-matrix and makes equivariance automatic.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .groups import FiniteGroup
 from .intlinalg import (
     IntMatrix,
     LatticeSolver,
+    SnfResult,
     hstack,
     is_zero,
     kernel_basis,
@@ -345,13 +346,17 @@ class ResolutionAudit:
         return out
 
 
-def _exactness(d_in: IntMatrix, d_out: IntMatrix) -> str:
+def _exactness(d_in: IntMatrix, d_out: IntMatrix,
+               snf: Callable[[IntMatrix], SnfResult]) -> str:
     """Verdict on ker(d_out) = im(d_in): d_out o d_in = 0 puts the image
     inside the kernel, and a kernel basis inside the image lattice gives
-    the reverse containment."""
+    the reverse containment.  ``snf`` gives a map's elimination carrying
+    ``u`` and ``v``, which serves both as the image's solver and, through
+    V's last columns, as the kernel's basis."""
     if not is_zero(matmul(d_out, d_in)):
         return "FAIL: d o d != 0"
-    if not LatticeSolver(d_in).contains(kernel_basis(d_out)):
+    out = snf(d_out)
+    if not LatticeSolver(d_in, snf(d_in)).contains(out.v[:, out.rank:]):
         return "FAIL: ker != im"
     return "exact"
 
@@ -362,16 +367,25 @@ def validate_complete_resolution(X: CompleteResolution,
     the augmented segment ... -> X^{-1} -> X^0 -> Z -> 0, and the splice
     factorization.  Degrees whose matrices exceed max_zdim are reported as
     skipped rather than silently trusted, and a skipped degree does not
-    pass: ``passed`` is true only when every degree reads exact.
+    pass: ``passed`` is true only when every degree reads exact.  Each map
+    is eliminated at most once, for both its kernel and its image.
     """
     N = X.window
     audit = ResolutionAudit(N)
+    elims: Dict[int, Tuple[IntMatrix, SnfResult]] = {}
+
+    def snf(d: IntMatrix) -> SnfResult:
+        # keyed by identity: X caches its maps, and each entry keeps its
+        # map alive, so no key is reused
+        if id(d) not in elims:
+            elims[id(d)] = d, smith_normal_form(d, need="u v")
+        return elims[id(d)][1]
 
     # augmented segment: eps surjective and ker(eps) = im(d^{-1})
     eps = X.eps
-    if not LatticeSolver(eps).contains(np.ones(1, dtype=object)):
+    if not LatticeSolver(eps, snf(eps)).contains(np.ones(1, dtype=object)):
         audit.augmented_segment = "FAIL: augmentation not surjective"
-    elif _exactness(X.full_diff(-1), eps) != "exact":
+    elif _exactness(X.full_diff(-1), eps, snf) != "exact":
         audit.augmented_segment = "FAIL: im(d^-1) != ker(aug)"
     else:
         audit.augmented_segment = "exact"
@@ -380,7 +394,7 @@ def validate_complete_resolution(X: CompleteResolution,
     eta = eps.T
     if not np.array_equal(X.full_diff(0), eta @ eps):
         audit.splice = "FAIL: d^0 is not (dual aug) o aug"
-    elif N >= 2 and _exactness(eta, X.full_diff(1)) != "exact":
+    elif N >= 2 and _exactness(eta, X.full_diff(1), snf) != "exact":
         audit.splice = "FAIL: im(Z -> X^1) != ker(d^1)"
     else:
         audit.splice = "exact"
@@ -390,5 +404,5 @@ def validate_complete_resolution(X: CompleteResolution,
         if zq > max_zdim or X.zdim(q - 1) > max_zdim or X.zdim(q + 1) > max_zdim:
             audit.add(q, zq, "skipped (size)")
             continue
-        audit.add(q, zq, _exactness(X.full_diff(q - 1), X.full_diff(q)))
+        audit.add(q, zq, _exactness(X.full_diff(q - 1), X.full_diff(q), snf))
     return audit

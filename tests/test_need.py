@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tateform import cli, formation, groups, intlinalg, tate
+from tateform import cli, formation, groups, intlinalg, resolutions, tate
 from tateform.formation import check_class_formation
 from tateform.gmodules import zmodule
 from tateform.gcomplexes import concentrate
@@ -228,3 +228,21 @@ def test_exactness_audit_eliminates_each_map_at_most_twice(monkeypatch, build, G
     audit = validate_complete_resolution(X)
     assert audit.passed
     assert len(calls) <= 17
+
+
+@pytest.mark.parametrize("build, G", [
+    (periodic_resolution, groups.make_cyclic(6)),
+    (peeled_resolution, groups.direct_product(C2, C2)),
+    (bar_resolution, groups.make_cyclic(3)),
+    (peeled_resolution, groups.symmetric_group(3)),
+], ids=["periodic-z6", "peeled-c2xc2", "bar-z3", "peeled-s3"])
+def test_exactness_audit_eliminates_each_map_once(monkeypatch, build, G):
+    # one elimination per map, whether read for its kernel, its image or
+    # both: the augmentation, its dual and d^-4 through d^2; calls made
+    # through resolutions' own name for smith_normal_form count too
+    X = complete_resolution(build(G, 4))
+    calls = _counting(monkeypatch, intlinalg, "smith_normal_form")
+    monkeypatch.setattr(resolutions, "smith_normal_form", intlinalg.smith_normal_form)
+    audit = validate_complete_resolution(X)
+    assert audit.passed
+    assert len(calls) <= 9

@@ -278,3 +278,108 @@ def test_summed_guard_promotes_part_way(need):
     bound = 1 << 29
     assert bound * (1 + 16 * bound) >= 1 << 62
     assert_same_as_object(a, need)
+
+
+# Row minima.  On int64 storage the pivot is read off the smallest nonzero
+# |entry| of each row, kept current for every row below the pivot; the
+# inputs below make those minima tie across rows, go to zero, and go stale
+# in a pivot row that is then swapped below the pivot.
+
+MAGNITUDES = (1, 2, 3, 4, 6)
+
+
+@st.composite
+def tall_and_wide(draw):
+    """40 x 8 and 8 x 40 inputs (320 entries, so int64 storage) over a
+    few of the magnitudes 1, 2, 3, 4 and 6, with some weight on zero: the
+    least magnitude repeats across many rows, and one clear changes many
+    rows at once.  Without 1 every pivot is 2 or more, so divisibility
+    steps and remainders swapped in as new pivots are common."""
+    mags = draw(st.lists(st.sampled_from(MAGNITUDES), min_size=1, max_size=5,
+                         unique=True))
+    zero_weight = draw(st.integers(0, 4))
+    entry = st.sampled_from([0] * zero_weight + mags + [-x for x in mags])
+    shape = draw(st.sampled_from([(40, 8), (8, 40)]))
+    cells = draw(st.lists(entry, min_size=320, max_size=320))
+    return np.array(cells, dtype=object).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tall_and_wide(), st.sampled_from(NEEDS))
+def test_row_minima_match_object_elimination(a, need):
+    assert _working_copy(a)[0].dtype == np.int64
+    assert_same_as_object(a, need)
+
+
+def tied_minima_matrix():
+    """A 40 x 8 matrix of entries 3 to 7 (and zeros) with the least
+    magnitude 2 in four rows: row 3 at column 7, row 5 at column 6, row 9
+    at column 0 and row 20 at column 1.  The first minimum in row-major
+    order is (3, 7), which is neither the first column nor the last row
+    holding a 2."""
+    a = zeros(40, 8)
+    for i in range(40):
+        for j in range(8):
+            if (i * j + i + 2 * j) % 4:
+                a[i, j] = (3 + (5 * i + 7 * j) % 5) * (1 if (i + j) % 3 else -1)
+    a[3, 7], a[5, 6], a[9, 0], a[20, 1] = 2, 2, -2, 2
+    return a
+
+
+@pytest.mark.parametrize("need", NEEDS)
+def test_minima_tied_across_rows(need):
+    a = tied_minima_matrix()
+    assert _working_copy(a)[0].dtype == np.int64
+    assert_same_as_object(a, need)
+    assert_same_as_object(a.T.copy(), need)
+
+
+def zeroed_rows_matrix(copies):
+    """Row 0 is (1, 5, 7), rows 1 to ``copies`` are 2, 3, ... times it,
+    and row 12 is (0, 3, 0, 9): clearing column 0 zeroes the copies, whose
+    minima must then read empty, or the next pivot would be taken from a
+    zero row.  One or two copies are cleared a row at a time, three or
+    more in one array operation."""
+    a = zeros(16, 16)
+    a[0, :3] = [1, 5, 7]
+    for k in range(1, copies + 1):
+        a[k, :3] = (k + 1) * a[0, :3]
+    a[12, 1], a[12, 3] = 3, 9
+    for i in range(13, 16):
+        a[i, i] = i
+    return a
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3, 5])
+def test_row_zeroed_by_a_clear(copies):
+    a = zeroed_rows_matrix(copies)
+    assert _working_copy(a)[0].dtype == np.int64
+    got = assert_same_as_object(a, "u u_inv v v_inv")
+    assert got.rank == 5
+    assert got.diagonal[:5] == (1, 1, 1, 3, 2730)
+
+
+def stale_pivot_row_matrix(extra):
+    """The pivot 4 at (0, 0) has a clear row and column, but 4 does not
+    divide the 15 at (1, 2), so the divisibility step adds row 1 to row 0.
+    The row clear then leaves the remainder 3 at (0, 2), which is swapped
+    in as column 0; the column clear leaves the remainder 2 in row 2,
+    which is swapped in as row 0, so the old pivot row, changed by two
+    operations that only a pivot row takes, moves below the pivot.  With
+    ``extra`` rows more in column 2 that clear is one array operation."""
+    a = zeros(16, 16)
+    a[0, 0], a[1, 2], a[2, 2] = 4, 15, -4
+    for k in range(extra):
+        a[3 + k, 2] = 8 + 4 * k
+    for i in range(8, 16):
+        a[i, i] = 12
+    return a
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+@pytest.mark.parametrize("need", NEEDS)
+def test_stale_pivot_row_swapped_below(extra, need):
+    a = stale_pivot_row_matrix(extra)
+    assert _working_copy(a)[0].dtype == np.int64
+    assert_same_as_object(a, need)
+    assert_same_as_object(a.T.copy(), need)
