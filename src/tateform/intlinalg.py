@@ -15,15 +15,17 @@ elimination keeps each row's smallest nonzero |entry|, refreshed for the
 rows a row clear changes, so a pivot is found by one argmin over
 those row minima and not by a scan of the whole remaining block; object
 storage keeps the scan.  The pivot sequence is the same on either
-storage, and every returned matrix is converted back to Python ints, so
-callers never see int64.
+storage, and ``SnfResult`` keeps the storage the run ended on; its readers
+go through ``matmul``, an elementwise product with an object array, or
+``astype(object, copy=False)`` on the slice they return, so no int64 sum
+is formed unguarded and no other function returns int64.
 
 Matrix products outside the elimination (the d o d and cocycle audits,
 homology's representatives, the solves) go through ``matmul``, guarded
 the same way: it multiplies on int64 when the inner dimension k and the
 largest entries bound every sum, k max|a| max|b| < 2^63, and on Python
-ints otherwise, and always returns Python ints.  ``LatticeSolver`` keeps
-its factors on int64 when they fit, narrowed once per factorization.
+ints otherwise, and always returns Python ints.  ``LatticeSolver`` uses
+the factors of its elimination as they arrive, int64 or object.
 
 The Smith normal form here uses the minimal-absolute-value pivot with a
 fixed (row, column) tie-break, which keeps intermediate entries small at
@@ -50,7 +52,7 @@ import numpy as np
 
 # The package-wide matrix type: a 2-D numpy array with dtype=object whose
 # entries are Python ints.  numpy is used as an exact container; only the
-# guarded int64 working storage of smith_normal_form uses machine integers.
+# guarded int64 storage of smith_normal_form, kept in its SnfResult, is not.
 IntMatrix = np.ndarray
 
 
@@ -170,11 +172,14 @@ TRANSFORMS = ("u", "u_inv", "v", "v_inv")
 class SnfResult:
     """U @ A @ V == S with U, V unimodular and S diagonal.
 
-    ``diagonal`` is the full diagonal of S: nonnegative, each entry dividing
-    the next, zeros trailing.  ``u_inv`` and ``v_inv`` are the exact inverses
-    of ``u`` and ``v`` (tracked during reduction, not recomputed).  A
-    transform the caller did not ask for (see ``smith_normal_form``'s
-    ``need``) is a 0 x 0 array.
+    ``diagonal`` is the full diagonal of S, as Python ints: nonnegative,
+    each entry dividing the next, zeros trailing.  ``u_inv`` and ``v_inv``
+    are the exact inverses of ``u`` and ``v`` (tracked during reduction,
+    not recomputed).  A transform the caller did not ask for (see
+    ``smith_normal_form``'s ``need``) is a 0 x 0 array.  ``s`` and the
+    carried transforms are all int64 when the elimination ran on int64
+    throughout, and all ``dtype=object`` Python ints otherwise; multiply
+    them with ``matmul``, not a bare ``@``.
     """
 
     u: IntMatrix
@@ -249,8 +254,9 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
     at each pass boundary and is measured exactly only when it would reach
     2^62; if the exact bound still leaves no room, s and every carried
     transform move to object storage and the elimination carries on from
-    the same state.  Either way every returned matrix is ``dtype=object``
-    holding Python ints, the same as an all-object run.
+    the same state.  The result keeps the storage the elimination ended
+    on: int64 for a run that never promoted, ``dtype=object`` Python ints
+    otherwise, with the same entries as an all-object run either way.
     """
     wanted = set(need.split())
     if not wanted <= set(TRANSFORMS):
@@ -437,13 +443,7 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
         t += 1
 
     diag = tuple(int(s[i, i]) for i in range(min(m, n)))
-    # Rebinding each name as it is converted frees its int64 array before
-    # the next conversion allocates.
-    s = s.astype(object, copy=False)
-    u = zeros(0, 0) if u is None else u.astype(object, copy=False)
-    u_inv = zeros(0, 0) if u_inv is None else u_inv.astype(object, copy=False)
-    v = zeros(0, 0) if v is None else v.astype(object, copy=False)
-    v_inv = zeros(0, 0) if v_inv is None else v_inv.astype(object, copy=False)
+    u, u_inv, v, v_inv = (zeros(0, 0) if x is None else x for x in (u, u_inv, v, v_inv))
     return SnfResult(u, u_inv, s, v, v_inv, diag)
 
 
@@ -509,22 +509,16 @@ class LatticeSolver:
     test on the first r = rank rows, one zero test on the rest, and
     x = V[:, :r] (c[:r] / d).  ``snf``, when given, is an elimination of A
     already at hand that carries at least ``u`` and ``v``; otherwise A is
-    factored here.
+    factored here.  U and V are used as the elimination returned them,
+    int64 or object, through ``matmul``, so a solve answers in Python ints.
     """
 
     def __init__(self, a: IntMatrix, snf: Optional[SnfResult] = None):
         self.snf = snf if snf is not None else smith_normal_form(a, need="u v")
         r = self.snf.rank
         self._d = np.array(self.snf.diagonal[:r], dtype=object)
-        # A factor whose product with a vector runs on int64 is narrowed
-        # once here, so a solve converts only its right-hand side and its
-        # answer.
         self._u = self.snf.u
-        if self._u.size >= _MATMUL_MIN_WORK:
-            self._u = _narrow(self._u)
         self._v = self.snf.v[:, :r]
-        if self._v.size >= _MATMUL_MIN_WORK:
-            self._v = _narrow(self._v)
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
         """The integer x with A x = b, column by column when b is a matrix
@@ -561,7 +555,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     integer kernel element is a unique integer combination of them.
     """
     snf = smith_normal_form(a, need="v")
-    return snf.v[:, snf.rank :]
+    return snf.v[:, snf.rank :].astype(object, copy=False)
 
 
 def lattice_basis(gens: IntMatrix) -> IntMatrix:
@@ -573,7 +567,8 @@ def lattice_basis(gens: IntMatrix) -> IntMatrix:
 
 def span_basis(snf: SnfResult) -> IntMatrix:
     """The lattice basis U^-1 * diagonal read off an elimination of the
-    generators that carries ``u_inv``."""
+    generators that carries ``u_inv``; the product with the object
+    diagonal holds Python ints whatever the storage of U^-1."""
     r = snf.rank
     return snf.u_inv[:, :r] * np.array(snf.diagonal[:r], dtype=object)
 
@@ -705,8 +700,8 @@ def cokernel_structure(a: IntMatrix) -> AbGroup:
     )
     kept = torsion_idx + free_idx
     torsion = tuple(int(snf.diagonal[i]) for i in torsion_idx)
-    basis_lift = snf.u_inv[:, kept] if kept else zeros(m, 0)
-    reduce_map = snf.u[kept, :] if kept else zeros(0, m)
+    basis_lift = snf.u_inv[:, kept].astype(object, copy=False) if kept else zeros(m, 0)
+    reduce_map = snf.u[kept, :].astype(object, copy=False) if kept else zeros(0, m)
     return AbGroup(len(free_idx), torsion, basis_lift, reduce_map)
 
 

@@ -3,9 +3,10 @@
 ``intlinalg.matmul`` multiplies on int64 when k max|a| max|b| < 2^63 over
 inner dimension k, and on Python ints otherwise.  Whichever side of that
 guard a product falls on, it must equal object ``@`` entry for entry and
-hold Python ints.  ``LatticeSolver`` narrows its factors to int64 when
-they fit; solves through narrowed factors and through factors too wide
-for int64 must both match the per-column reference of ``test_solve``.
+hold Python ints.  ``LatticeSolver`` uses its factors on the storage the
+elimination returned them on; solves through int64 factors and through
+factors too wide for int64 must both match the per-column reference of
+``test_solve``.
 """
 
 import random
@@ -111,6 +112,32 @@ def test_narrowed_factors_match_reference():
         assert same(solver.solve(b[:, 0]), reference_solve(a, b[:, 0]))
 
 
+def test_wide_right_hand_sides_through_int64_factors():
+    # the tree of test_narrowed_factors_match_reference, and right-hand
+    # sides with entries of 2^63 and more: U is int64, so the product
+    # U b must take matmul's object path with one int64 operand
+    rng = random.Random(7)
+    a = zeros(40, 36)
+    for j in range(36):
+        a[j + 1, j] = 2
+        a[rng.randint(0, j), j] = -1
+    solver = LatticeSolver(a)
+    assert solver._u.dtype == np.int64 and solver._v.dtype == np.int64
+    x = random_matrix(rng, (36, 5), 70)
+    x[0, 0] = 1 << 70
+    good = matmul(a, x)
+    assert max(abs(e) for e in good.flat) >= 1 << 63
+    bad = good.copy()
+    bad[0, 0] += 1
+    for b in (good, bad):
+        got = solver.solve(b)
+        assert same(got, reference_solve_matrix(a, b))
+        assert same(solver.solve(b[:, 0]), reference_solve(a, b[:, 0]))
+        if got is not None:
+            assert all(type(e) is int for e in got.flat)
+            assert np.array_equal(got, x)
+
+
 def test_wide_factors_match_reference():
     # ones on the diagonal from row 3 on and a 3 x 3 core of 27-bit entries
     a = zeros(40, 40)
@@ -120,9 +147,9 @@ def test_wide_factors_match_reference():
         for j in range(3):
             a[i, j] = pow(i + 2, j + 13, 10**8 + 7)
     solver = LatticeSolver(a)
-    # V is large enough to narrow but needs more than 64 bits, so it
-    # stays on objects; U fits
-    assert solver._v.dtype == object and solver._u.dtype == np.int64
+    # the elimination starts on int64 and promotes, since V needs more
+    # than 64 bits, so both factors arrive on objects
+    assert solver._v.dtype == object and solver._u.dtype == object
     rng = random.Random(11)
     for b in solvable_and_not(a, rng, 5):
         got = solver.solve(b)

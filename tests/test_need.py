@@ -222,12 +222,15 @@ C2 = groups.make_cyclic(2)
 def test_exactness_audit_eliminates_each_map_at_most_twice(monkeypatch, build, G):
     # two per interior degree (the outgoing map's kernel and the incoming
     # map's image), one for the surjectivity of the augmentation and two
-    # each for the augmented segment and the splice: 6 * 2 + 1 + 2 + 2
+    # each for the augmented segment and the splice: 6 * 2 + 1 + 2 + 2;
+    # the audit calls resolutions' own name for smith_normal_form, so that
+    # name is counted too, or the bound would check no call at all
     X = complete_resolution(build(G, 4))
     calls = _counting(monkeypatch, intlinalg, "smith_normal_form")
+    monkeypatch.setattr(resolutions, "smith_normal_form", intlinalg.smith_normal_form)
     audit = validate_complete_resolution(X)
     assert audit.passed
-    assert len(calls) <= 17
+    assert 0 < len(calls) <= 17
 
 
 @pytest.mark.parametrize("build, G", [

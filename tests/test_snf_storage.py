@@ -3,11 +3,13 @@
 ``smith_normal_form`` eliminates in int64 while a tracked bound keeps
 every entry below 2^62, and moves to object storage when it cannot.  The
 reference below is the object-only routine it replaced, kept as it was;
-every output must equal it entry for entry and hold Python ints, whether
-the call ran in int64 throughout, promoted mid-elimination or never left
-object storage.
+every output must equal it entry for entry, whether the call ran in int64
+throughout, promoted mid-elimination or never left object storage.  The
+result keeps the storage the run ended on: int64 only for a call that
+started on int64, and otherwise Python ints.
 """
 
+import random
 from itertools import combinations
 
 import numpy as np
@@ -15,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tateform import intlinalg
 from tateform.intlinalg import (
     SnfResult,
     TRANSFORMS,
     _working_copy,
     eye,
+    matmul,
     smith_normal_form,
     zeros,
 )
@@ -151,13 +155,22 @@ def assert_same_as_object(a, need):
     want = object_snf(a, need)
     got = smith_normal_form(a, need)
     assert got.diagonal == want.diagonal
+    assert all(type(d) is int for d in got.diagonal)
+    started_int64 = _working_copy(a)[0].dtype == np.int64
     for f in FIELDS:
         x, y = getattr(got, f), getattr(want, f)
-        assert x.dtype == object, f
+        if x.dtype == np.int64:
+            assert started_int64, f
+        else:
+            assert x.dtype == object, f
+            assert all(type(e) is int for e in x.flat), f
         assert x.shape == y.shape, f
-        assert all(type(e) is int for e in x.flat), f
         assert np.array_equal(x, y), f
     return got
+
+
+def carried_arrays(snf, need):
+    return [getattr(snf, f) for f in ["s"] + need.split()]
 
 
 @st.composite
@@ -214,8 +227,9 @@ def test_promotes_mid_elimination():
     a = promoting_matrix()
     assert _working_copy(a)[0].dtype == np.int64
     # the call starts on int64, which cannot hold this output
-    v = smith_normal_form(a, need="v").v
-    assert max(abs(int(x)) for x in v.flat) >= 1 << 63
+    got = assert_same_as_object(a, "u u_inv v v_inv")
+    assert max(abs(int(x)) for x in got.v.flat) >= 1 << 63
+    assert all(x.dtype == object for x in carried_arrays(got, "u u_inv v v_inv"))
 
 
 def test_large_input_stays_on_object_storage():
@@ -230,7 +244,8 @@ def test_int64_run_without_promotion():
     for i in range(20):
         a[i, (3 * i) % 20] = i % 5 - 2
     assert _working_copy(a)[0].dtype == np.int64
-    assert_same_as_object(a, "u u_inv v v_inv")
+    got = assert_same_as_object(a, "u u_inv v v_inv")
+    assert all(x.dtype == np.int64 for x in carried_arrays(got, "u u_inv v v_inv"))
 
 
 def cut_matrix():
@@ -383,3 +398,69 @@ def test_stale_pivot_row_swapped_below(extra, need):
     assert _working_copy(a)[0].dtype == np.int64
     assert_same_as_object(a, need)
     assert_same_as_object(a.T.copy(), need)
+
+
+# The edge of the elimination layer.  SnfResult keeps int64 storage, and
+# every function that hands a matrix on from it returns Python ints, so
+# the rest of the package never sees int64.
+
+def int64_full_rank_matrix():
+    """20 x 20, entries -1 to 4, full rank with invariant factors 6, 12
+    and 192: every elimination below that starts on int64 stays there."""
+    a = zeros(20, 20)
+    for i in range(20):
+        a[i, i] = 2 + i % 3
+        a[i, (i + 7) % 20] = i % 3 - 1
+    return a
+
+
+def assert_python_ints(x, what):
+    assert x.dtype == object, what
+    assert all(type(e) is int for e in x.flat), what
+
+
+@pytest.mark.parametrize("a, promotes", [
+    (int64_full_rank_matrix(), False),
+    (promoting_matrix(), True),
+], ids=["int64", "promoting"])
+def test_every_edge_returns_python_ints(monkeypatch, a, promotes):
+    # (start, end) storage of every elimination the calls below make;
+    # the small ones start on object storage
+    storage = []
+    elim = intlinalg.smith_normal_form
+
+    def recording(x, need="u u_inv v v_inv"):
+        got = elim(x, need)
+        storage.append((_working_copy(x)[0].dtype, got.s.dtype))
+        return got
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    assert a.size >= 256
+    rng = random.Random(5)
+    x = zeros(a.shape[1], 3)
+    for idx in np.ndindex(*x.shape):
+        x[idx] = rng.randint(-9, 9)
+    coker = intlinalg.cokernel_structure(a)
+    sub = intlinalg.Subquotient(a, 2 * a)
+    solver = intlinalg.LatticeSolver(a)
+    outs = {
+        "kernel_basis": intlinalg.kernel_basis(intlinalg.hstack([a, a[:, :1]])),
+        "lattice_basis": intlinalg.lattice_basis(a),
+        "span_basis": intlinalg.span_basis(intlinalg.smith_normal_form(a, "u_inv")),
+        "preimage_lattice": intlinalg.preimage_lattice(a, 2 * a[:, :3]),
+        "basis_lift": coker.basis_lift,
+        "reduce_map": coker.reduce_map,
+        "representative": sub.representative(0),
+        "solve": solver.solve(matmul(a, x)),
+        "solve vector": solver.solve(matmul(a, x[:, 0])),
+        "matmul": matmul(solver.snf.v, x),
+    }
+    for what, got in outs.items():
+        assert_python_ints(got, what)
+    assert np.array_equal(outs["solve"], x)
+    assert sub.group.torsion == (2,) * a.shape[1]
+    # the int64 input is eliminated on int64 throughout, and the
+    # promoting one hands promoted results on
+    ends = {end for start, end in storage if start == np.int64}
+    assert (np.dtype(object) in ends) == promotes
+    assert np.dtype(np.int64) in ends
