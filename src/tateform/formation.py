@@ -10,8 +10,10 @@ A pair (G, C) is checked against
 There is no canonical invariant map for an abstract formation, so the
 family is chosen as the lexicographically least compatible one; since
 restriction is transitive on the nose for the stored subgroup models, the
-choice of u_G forces the family and the search runs over the phi(|G|)
-generators of H^2(G, C).  Every report carries a flag recording this
+choice of u_G forces the family.  The family is in closed form: for the
+generator u of H^2(G, C) and each of the phi(|G|) generators k u, the
+member at H is k res_H(u), since restriction is linear, so each subgroup
+is restricted once.  Every report carries a flag recording this
 convention.
 """
 
@@ -147,16 +149,17 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
     if report.failure is not None:
         return report
 
-    # compatibility with G forces u_H = res(u_G), so the family search runs
-    # over the phi(|G|) generators upstairs and each candidate either
-    # propagates to a full family or dies at the first subgroup where the
-    # restriction drops order
+    # compatibility with G forces u_H = res(u_G); restriction and
+    # classification are linear, so u_G = k u gives u_H = k res(u) for the
+    # generator u of H^2(G, C), and each subgroup is restricted and
+    # classified once.  (C2) makes every coprime k a generator upstairs; a
+    # candidate survives when each k res(u) keeps the order of its subgroup
     whole = whole_subgroup(G)
     rmats: Dict[Tuple[tuple, tuple], IntMatrix] = {}
 
     def restriction(u: Subgroup, v: Subgroup) -> IntMatrix:
-        # one matrix per nested pair U >= V: the candidate search and the
-        # audit below both restrict along the pairs through G
+        # one matrix per nested pair U >= V: the family and the audit below
+        # both restrict along the pairs through G
         key = (u.elements, v.elements)
         if key not in rmats:
             src = None if u.is_whole_group() else pairs[u.elements].model
@@ -164,28 +167,18 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
                                             tate(u).total, tate(v).total, 2)
         return rmats[key]
 
-    if G.order == 1:
-        candidates = [()]
-    else:
-        candidates = [(k,) for k in _coprime_residues(G.order)]
+    # res_u[H] is res_H(u) in H's coordinates; at G, u itself
+    res_u = {whole.elements: (1,) if G.order > 1 else ()}
+    for s in subs:
+        if not s.is_whole_group():
+            res_u[s.elements] = tate(s).classify(
+                2, restriction(whole, s) @ ambient.representative(2, 0))
     found = []
-    for coords in candidates:
+    for k in _coprime_residues(G.order) or [1]:
         report.candidates_tried += 1
-        u_G = ambient.class_at(2, coords)
-        if u_G.order != G.order:
-            continue
-        trial = {whole.elements: u_G}
-        good = True
-        for s in subs:
-            if s.is_whole_group():
-                continue
-            u_H = tate(s).classify_class(
-                2, restriction(whole, s) @ ambient.element(2, coords))
-            if u_H.order != s.order:
-                good = False
-                break
-            trial[s.elements] = u_H
-        if good:
+        trial = {s.elements: tate(s).class_at(
+            2, [k * c for c in res_u[s.elements]]) for s in subs}
+        if all(trial[s.elements].order == s.order for s in subs):
             found.append(trial)
     if not found:
         report.failure = ("(C3): no restriction-compatible generator family "

@@ -31,7 +31,6 @@ from .groups import (
     Subgroup,
     abelianization,
     all_subgroups,
-    coset_representatives,
     right_transversal,
 )
 from .intlinalg import (
@@ -52,7 +51,6 @@ from .intlinalg import (
 )
 from .resolutions import (
     CompleteResolution,
-    FreeResolution,
     dual_gen,
     free_full_matrix,
 )
@@ -87,6 +85,16 @@ class HomBlock:
     def put(self, vec: np.ndarray, genmat: IntMatrix) -> None:
         """Write a gens x rank generator matrix into this block of vec."""
         vec[self.offset:self.offset + self.dim] = genmat.T.reshape(-1)
+
+
+def _add_per_generator(out: IntMatrix, dst: HomBlock, src: HomBlock,
+                       coeff: IntMatrix, copies: int) -> None:
+    """Add block_diag([coeff] * copies) to the (dst, src) block of out: a
+    map that acts on each of ``copies`` generators of the resolution term
+    alike, by the coefficient matrix coeff.  The one place the Hom-block
+    layout is written for such maps."""
+    out[dst.offset:dst.offset + dst.dim,
+        src.offset:src.offset + src.dim] += block_diag([coeff] * copies)
 
 
 class TotalComplex:
@@ -142,9 +150,7 @@ class TotalComplex:
             # vertical: postcompose with the coefficient differential
             tgt = dst_by_j.get(b.j + 1)
             if tgt is not None and tgt.gens:
-                sub = block_diag([self.C.diff(b.j)] * b.rank)
-                D[tgt.offset:tgt.offset + tgt.dim,
-                  b.offset:b.offset + b.dim] += sub
+                _add_per_generator(D, tgt, b, self.C.diff(b.j), b.rank)
             # horizontal: precompose with the resolution differential
             tgt = dst_by_j.get(b.j)
             if tgt is not None and tgt.gens:
@@ -302,45 +308,57 @@ def remark_agreement(X, M: GModule, qlo: int = -1, qhi: int = 2):
 
 
 class SubgroupResolution(CompleteResolution):
-    """A complete resolution for G, viewed as one for a subgroup H.
+    """A complete resolution X for G, viewed as one for a subgroup H.
 
     Z[G] restricted to H is free with basis any right transversal of H\\G,
     so the same Z-matrices serve after a blockwise relabeling of the
     Z-basis: the G-index (a, sigma) with sigma = h_i g_k becomes the
     H-index (a t + k, i).  Generator b of the H-model at each degree is the
     pair (a, k) -> b = a t + k, whose underlying element is (a, g_k).
-    The model is the complete resolution of the relabeled free resolution
-    over H; its positive half, the dual over H, is the relabeled dual over
-    G because the relabeling is a permutation of the Z-basis.
+    The model is a view of X: rank q is X's times t, and d^q is X's d^q
+    relabeled, built when a degree is first read.  That holds in positive
+    degrees too, where the dual over H is the relabeled dual over G
+    because the relabeling is a permutation of the Z-basis; and the
+    augmentation, constant on each generator's block of |G| = t |H|
+    entries, is X's own row.
     """
 
     def __init__(self, X: CompleteResolution, H: Subgroup):
+        # no FreeResolution stands behind the view: zdim and full_diff are
+        # CompleteResolution's, reading rank and diff_gen below
         G = X.group
-        Hgrp, embed = H.as_group()
+        self.group, embed = H.as_group()
+        self.window = X.window
+        self._full_cache: Dict[int, IntMatrix] = {}
+        self._gen_cache: Dict[int, IntMatrix] = {}
         self.parent = X
         self.subgroup = H
         self.embed = embed
         self.transversal = right_transversal(G, H)
-        n = G.order
-        m = Hgrp.order
-        local = [-1] * n
+        m = self.group.order
+        local = [-1] * G.order
         for k, gk in enumerate(self.transversal):
             for i in range(m):
                 local[G.mul(embed[i], gk)] = k * m + i
         if any(v < 0 for v in local):
             raise ValidationError("transversal does not cover the group")
         self._local = np.asarray(local, dtype=np.intp)
-        res = X.res
-        t = self.index
-        dgens = [None] + [self._relabel(res.d_gen(i))
-                          for i in range(1, len(res.ranks))]
-        aug = np.full((1, res.ranks[0] * n), 1, dtype=object)
-        super().__init__(FreeResolution(Hgrp, [r * t for r in res.ranks],
-                                        dgens, aug, res.engine))
 
     @property
     def index(self) -> int:
         return len(self.transversal)
+
+    @property
+    def eps(self) -> IntMatrix:
+        return self.parent.eps
+
+    def rank(self, q: int) -> int:
+        return self.parent.rank(q) * self.index
+
+    def diff_gen(self, q: int) -> IntMatrix:
+        if q not in self._gen_cache:
+            self._gen_cache[q] = self._relabel(self.parent.diff_gen(q))
+        return self._gen_cache[q]
 
     def _relabel(self, gen: IntMatrix) -> IntMatrix:
         """The H-generator matrix of the G-map with generator matrix gen:
@@ -384,25 +402,19 @@ def restriction_blocks(src: Optional[SubgroupResolution],
     subgroup U (src; None means U = G) to the model of V <= U (dst).
 
     A U-cochain is sampled at V-generators: f((a, gV_k)) = h . f((a, gU_j))
-    where gV_k = h gU_j with h in U.
+    where gV_k = h gU_j with h in U.  The coefficient block of size
+    t_V g x t_U g is the same for every generator a of X.
     """
-    tV = dst.index
+    tU = 1 if src is None else src.index
     out = zeros(total_dst.dim[q], total_src.dim[q])
     for bU, bV in zip(total_src.blocks[q], total_dst.blocks[q]):
-        if bU.gens == 0:
-            continue
+        g = bU.gens
         M = C.term(bU.j)
-        parent_rank = bU.rank if src is None else bU.rank // src.index
-        for a in range(parent_rank):
-            for k, gk in enumerate(dst.transversal):
-                if src is None:
-                    j_src, h = 0, gk
-                else:
-                    j_src, h = _locate_in_model(src, gk)
-                row = bV.offset + (a * tV + k) * bV.gens
-                col = bU.offset + (a * (1 if src is None else src.index)
-                                   + j_src) * bU.gens
-                out[row:row + bV.gens, col:col + bU.gens] += M.act(h)
+        coeff = zeros(dst.index * g, tU * g)
+        for k, gk in enumerate(dst.transversal):
+            j, h = (0, gk) if src is None else _locate_in_model(src, gk)
+            coeff[k * g:(k + 1) * g, j * g:(j + 1) * g] = M.act(h)
+        _add_per_generator(out, bV, bU, coeff, bU.rank // tU)
     return out
 
 
@@ -410,23 +422,15 @@ def corestriction_blocks(model: SubgroupResolution, C: GComplex,
                          total_G: TotalComplex, total_H: TotalComplex,
                          q: int) -> IntMatrix:
     """Cochain-level transfer matrix at degree q, from the subgroup model
-    back to the group: (cor f)_a = sum over a left transversal {c} of
-    c . f((a, c^{-1}))."""
+    back to the group: (cor f)_a = sum over the right transversal {g_k} of
+    g_k^{-1} . f((a, g_k)), one g x t g coefficient block per generator a
+    of X."""
     G = C.group
-    t = model.index
-    lefts = coset_representatives(G, model.subgroup)
     out = zeros(total_G.dim[q], total_H.dim[q])
     for bG, bH in zip(total_G.blocks[q], total_H.blocks[q]):
-        if bG.gens == 0:
-            continue
         M = C.term(bG.j)
-        for c in lefts:
-            k, h = _locate_in_model(model, G.inv(c))
-            factor = M.act(G.mul(c, h))
-            for a in range(bG.rank):
-                row = bG.offset + a * bG.gens
-                col = bH.offset + (a * t + k) * bH.gens
-                out[row:row + bG.gens, col:col + bH.gens] += factor
+        coeff = hstack([M.act(G.inv(gk)) for gk in model.transversal])
+        _add_per_generator(out, bG, bH, coeff, bG.rank)
     return out
 
 
@@ -714,7 +718,7 @@ def tate_nakayama_check(X, C: GComplex, a: TateClass,
             (H.elements, H.order, res_a.order, h2.invariants(), ok2))
         if not ok2 and report.failed_hypothesis is None:
             report.failed_hypothesis = "(ii)"
-    if report.failed_hypothesis is None:
+    if report.failed_hypothesis is None and qlo <= qhi:
         tate = tate_hypercohomology(X, C, min(qlo, 2), max(qhi, 2))
         for q in range(qlo, qhi + 1):
             cup = cup_with(X, C, a, q, tate=tate)
@@ -800,21 +804,17 @@ def cone_les_check(X, C: GComplex, m: int, ilo: int = -2,
 def _postcompose_map(total_src: TotalComplex, total_dst: TotalComplex,
                      comps: Dict[int, IntMatrix], q: int,
                      j_shift: int) -> IntMatrix:
-    """Blockwise postcomposition with a degreewise coefficient map; the
-    destination block for source block j is j - j_shift + ... read off by
-    matching resolution degree s."""
+    """Blockwise postcomposition with a degreewise coefficient map C^j ->
+    D^{j + j_shift}, from degree q to degree q + j_shift: each source
+    block goes to the destination block of the same resolution degree."""
     dst_q = q + j_shift
     out = zeros(total_dst.dim[dst_q], total_src.dim[q])
     dst_by_s = {b.s: b for b in total_dst.blocks[dst_q]}
     for b in total_src.blocks[q]:
         tgt = dst_by_s.get(b.s)
-        if tgt is None or b.gens == 0 or tgt.gens == 0:
-            continue
         comp = comps.get(b.j)
-        if comp is None or comp.shape != (tgt.gens, b.gens):
-            continue
-        out[tgt.offset:tgt.offset + tgt.dim,
-            b.offset:b.offset + b.dim] += block_diag([comp] * b.rank)
+        if tgt is not None and comp is not None:
+            _add_per_generator(out, tgt, b, comp, b.rank)
     return out
 
 

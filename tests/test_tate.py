@@ -28,9 +28,11 @@ from tateform.groups import (
 )
 from tateform.intlinalg import intmat
 from tateform.resolutions import (
+    FreeResolution,
     complete_resolution,
     free_full_matrix,
     resolution_for,
+    validate_complete_resolution,
 )
 from tateform.tate import (
     ShiftLift,
@@ -289,16 +291,31 @@ class TestRestrictionCorestriction:
                                        lambda: cyclic_setup(6)],
                              ids=["S3", "C2xC2", "Z6"])
     def test_subgroup_model_relabels_every_degree(self, setup):
-        # the model's positive half is the dual over H; it must equal the
-        # relabeled dual over G, and so must every other differential
+        # the view against an explicit model: X's free resolution relabeled
+        # into a FreeResolution over H, whose positive half is the dual
+        # over H and whose degree-0 map is built from its own augmentation;
+        # and the view passes the exactness audit at every degree
         G, X = setup()
+        res = X.res
         for H in all_subgroups(G):
             model = SubgroupResolution(X, H)
-            assert model.window == X.window
+            Hgrp, _ = H.as_group()
+            dgens = [None] + [model._relabel(res.d_gen(i))
+                              for i in range(1, len(res.ranks))]
+            aug = np.full((1, res.ranks[0] * G.order), 1, dtype=object)
+            explicit = complete_resolution(FreeResolution(
+                Hgrp, [r * H.index for r in res.ranks], dgens, aug,
+                res.engine))
+            assert model.group is Hgrp
+            assert model.window == explicit.window == X.window
+            assert np.array_equal(model.eps, explicit.eps)
             for q in range(-X.window, X.window):
-                assert model.rank(q) == X.rank(q) * H.index
+                assert model.rank(q) == explicit.rank(q) == X.rank(q) * H.index
                 assert np.array_equal(model.diff_gen(q),
-                                      model._relabel(X.diff_gen(q))), (H, q)
+                                      explicit.diff_gen(q)), (H, q)
+                assert np.array_equal(model.full_diff(q),
+                                      explicit.full_diff(q)), (H, q)
+            assert validate_complete_resolution(model).passed, H.elements
 
 
 class TestCupProducts:
