@@ -15,6 +15,11 @@ generator u of H^2(G, C) and each of the phi(|G|) generators k u, the
 member at H is k res_H(u), since restriction is linear, so each subgroup
 is restricted once.  Every report carries a flag recording this
 convention.
+
+Conjugation by g maps the Tate groups of H isomorphically to those of
+gHg^-1, commutes with restriction from G and is the identity on G's (Brown,
+Cohomology of Groups, III.8 and VI.5), so the (C1), (C2) and Tate-Nakayama
+hypothesis rows are read once per conjugacy class of subgroups.
 """
 
 from math import gcd
@@ -23,8 +28,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .gcomplexes import GComplex
-from .groups import Subgroup, abelianization, all_subgroups, whole_subgroup
+from .gcomplexes import GComplex, concentrate
+from .gmodules import zmodule
+from .groups import (Subgroup, abelianization, all_subgroups,
+                     conjugacy_representatives, whole_subgroup)
 from .intlinalg import (
     AbGroup,
     AbMap,
@@ -120,32 +127,35 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
     """Test (C1)-(C3) for the group carried by the resolution X acting on
     the coefficient complex C.  Axioms are checked in order over subgroups
     sorted by (order, elements); the first violation is the recorded
-    obstruction.  On a pass the report also carries the fundamental class
-    and the reciprocity isomorphism."""
+    obstruction.  (C1) and (C2) read one subgroup per conjugacy class;
+    (C3), run only when they pass, reads every subgroup.  On a pass the
+    report also carries the fundamental class and the reciprocity map."""
     G = X.group
     report = FormationReport()
     subs = all_subgroups(G)
-    # G's groups are the ambient ones on X; each proper subgroup gets one
-    # SubgroupPair sharing them
+    reps = conjugacy_representatives(G, subs)
+    # G's groups are X's own; a proper subgroup's pair is built when read
     ambient = tate_hypercohomology(X, C, 1, 2)
-    pairs = {s.elements: SubgroupPair(X, C, s, 1, 2, ambient=ambient)
-             for s in subs if not s.is_whole_group()}
+    pairs: Dict[tuple, SubgroupPair] = {}
+
+    def pair(s: Subgroup) -> SubgroupPair:
+        if s.elements not in pairs:
+            pairs[s.elements] = SubgroupPair(X, C, s, 1, 2, ambient=ambient)
+        return pairs[s.elements]
 
     def tate(s: Subgroup) -> TateGroups:
-        return ambient if s.is_whole_group() else pairs[s.elements].tate_H
+        return ambient if s.is_whole_group() else pair(s).tate_H
 
     for s in subs:
-        inv1 = tate(s).invariants(1)
-        ok = inv1 == ()
-        report.c1_rows.append((s.elements, inv1, ok))
-        if not ok and report.failure is None:
-            report.failure = "(C1) at subgroup %s" % list(s.elements)
-    for s in subs:
-        inv2 = tate(s).invariants(2)
-        ok = inv2 == ((s.order,) if s.order > 1 else ())
-        report.c2_rows.append((s.elements, inv2, s.order, ok))
-        if not ok and report.failure is None:
-            report.failure = "(C2) at subgroup %s" % list(s.elements)
+        t = tate(reps[s.elements])
+        inv1, inv2 = t.invariants(1), t.invariants(2)
+        report.c1_rows.append((s.elements, inv1, inv1 == ()))
+        report.c2_rows.append((s.elements, inv2, s.order,
+                               inv2 == ((s.order,) if s.order > 1 else ())))
+    for axiom, rows in (("(C1)", report.c1_rows), ("(C2)", report.c2_rows)):
+        bad = [row[0] for row in rows if not row[-1]]
+        if bad and report.failure is None:
+            report.failure = "%s at subgroup %s" % (axiom, list(bad[0]))
     if report.failure is not None:
         return report
 
@@ -162,8 +172,8 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
         # both restrict along the pairs through G
         key = (u.elements, v.elements)
         if key not in rmats:
-            src = None if u.is_whole_group() else pairs[u.elements].model
-            rmats[key] = restriction_blocks(src, pairs[v.elements].model, C,
+            src = None if u.is_whole_group() else pair(u).model
+            rmats[key] = restriction_blocks(src, pair(v).model, C,
                                             tate(u).total, tate(v).total, 2)
         return rmats[key]
 
@@ -252,12 +262,14 @@ def reciprocity_map(X, C: GComplex, u: TateClass) -> AbMap:
     (H^{-2}(G, Z) -> H^0(G, C)) with iota: H^{-2}(G, Z) -> G^ab.  Its
     verdict records both injectivity (equal orders) and surjectivity,
     which is what density means at a finite level."""
-    cup = cup_with(X, C, u, 0)
+    tate = tate_hypercohomology(X, C, 0, 2)
+    tz = tate_hypercohomology(X, concentrate(zmodule(X.group), 0), -2, -2)
+    cup = cup_with(X, C, u, 0, tate=tate, tz=tz)
     if not cup.is_isomorphism():
         raise ValidationError(
             "cup map is not invertible; Tate-Nakayama should forbid this")
     inv = _invert_on_groups(cup.matrix, cup.source, cup.target)
-    io = iota_abelianization(X)
+    io = iota_abelianization(X, tz)
     return AbMap(io.matrix @ inv, cup.target, io.target)
 
 

@@ -36,7 +36,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "table", "identity", "name", "_inverse", "_subgroup_memo",
-                 "_abelianization")
+                 "_abelianization", "_subgroups")
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G"):
         n = len(table)
@@ -56,6 +56,7 @@ class FiniteGroup:
         self.table = tuple(rows)
         self.order = n
         self.name = name
+        self._subgroup_memo = {}
 
         identity = None
         for e in range(n):
@@ -181,10 +182,7 @@ class Subgroup:
         hand back the identical FiniteGroup object; downstream identity
         checks (module and complex validation) rely on that.
         """
-        memo = getattr(self.parent, "_subgroup_memo", None)
-        if memo is None:
-            memo = {}
-            self.parent._subgroup_memo = memo
+        memo = self.parent._subgroup_memo
         if self.elements in memo:
             return memo[self.elements]
         pos = {g: i for i, g in enumerate(self.elements)}
@@ -268,26 +266,34 @@ def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list:
 
     Enumeration is by closure saturation: grow each known subgroup by one
     outside element at a time.  Every subgroup arises this way because its
-    own generating chain is walked.
+    own generating chain is walked.  Kept on G; each call returns a fresh list.
     """
     if G.order > cap:
         raise CapExceeded(f"group order {G.order} exceeds cap {cap}")
-    found = {frozenset([G.identity])}
-    queue = [frozenset([G.identity])]
-    while queue:
-        H = queue.pop()
+    if getattr(G, "_subgroups", None) is None:
+        found = {frozenset([G.identity])}
+        queue = [frozenset([G.identity])]
+        while queue:
+            H = queue.pop()
+            for g in range(G.order):
+                if g in H:
+                    continue
+                K = G.closure(H | {g})
+                if K not in found:
+                    found.add(K)
+                    queue.append(K)
+        subs = (Subgroup(G, tuple(sorted(H)), G.is_normal_subset(H)) for H in found)
+        G._subgroups = tuple(sorted(subs, key=lambda s: (s.order, s.elements)))
+    return list(G._subgroups)
+
+
+def conjugacy_representatives(G: FiniteGroup, subs: list) -> dict:
+    """Map each subgroup's elements to its first conjugate in subs, all_subgroups(G)."""
+    reps = {}
+    for s in subs:
         for g in range(G.order):
-            if g in H:
-                continue
-            K = G.closure(H | {g})
-            if K not in found:
-                found.add(K)
-                queue.append(K)
-    subs = [
-        Subgroup(G, tuple(sorted(H)), G.is_normal_subset(H)) for H in found
-    ]
-    subs.sort(key=lambda s: (s.order, s.elements))
-    return subs
+            reps.setdefault(tuple(sorted(G.conjugate(g, h) for h in s.elements)), s)
+    return reps
 
 
 def coset_representatives(G: FiniteGroup, H: Subgroup) -> list:

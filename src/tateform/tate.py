@@ -31,6 +31,7 @@ from .groups import (
     Subgroup,
     abelianization,
     all_subgroups,
+    conjugacy_representatives,
     right_transversal,
 )
 from .intlinalg import (
@@ -558,34 +559,36 @@ class ShiftLift:
 
 
 def cup_with(X, C: GComplex, a: TateClass, q: int,
-             tate: Optional[TateGroups] = None) -> AbMap:
+             tate: Optional[TateGroups] = None,
+             tz: Optional[TateGroups] = None) -> AbMap:
     """The map H^{q-2}(G, Z) -> H^q(G, C) given by cupping with a.
 
     Realized by composition: each source class w lifts to a chain map Xi
     raising resolution degree by q-2; postcomposing a representative of a
     with Xi gives the cup cochain.  Coefficient complexes wider than two
-    adjacent degrees are rejected.
+    adjacent degrees are rejected.  ``tate`` and ``tz`` are C's and Z's
+    groups, read when their ranges hold q and q-2.
     """
     if a.degree != 2:
         raise ValidationError("cup_with expects a degree-2 class")
     if tate is None or not (tate.qlo <= min(q, 2) and tate.qhi >= max(q, 2)):
         tate = tate_hypercohomology(X, C, min(q, 2), max(q, 2))
     a_vec = tate.element(2, a.coords)
-    return cup_from_cochain(X, C, a_vec, q, tate)
+    return cup_from_cochain(X, C, a_vec, q, tate, tz)
 
 
 def cup_from_cochain(X, C: GComplex, a_vec: np.ndarray, q: int,
-                     tate: TateGroups) -> AbMap:
+                     tate: TateGroups,
+                     tz: Optional[TateGroups] = None) -> AbMap:
     """Same as cup_with, from an explicit degree-2 cocycle vector; used to
     demonstrate independence of the chosen representative."""
     if C.hi - C.lo + 1 > 2:
         raise ValidationError(
             "cup products support coefficient complexes of width <= 2, "
             "got support [%d, %d]" % (C.lo, C.hi))
-    G = X.group
     p = q - 2
-    zc = concentrate(zmodule(G), 0)
-    tz = tate_hypercohomology(X, zc, p, p)
+    if tz is None or not tz.qlo <= p <= tz.qhi:
+        tz = tate_hypercohomology(X, concentrate(zmodule(X.group), 0), p, p)
     source = tz.group(p)
     target = tate.group(q)
 
@@ -614,7 +617,7 @@ def cup_from_cochain(X, C: GComplex, a_vec: np.ndarray, q: int,
 # degree -2 with Z coefficients vs the abelianization
 
 
-def iota_abelianization(X) -> AbMap:
+def iota_abelianization(X, tz: Optional[TateGroups] = None) -> AbMap:
     """H^{-2}(G, Z) -> G^ab via the augmentation ideal: a cocycle w on X^2
     produces the element h = -(w~ o d^1)(generator) of the augmentation
     ideal, whose coordinates map onto the abelianization.  The overall sign
@@ -624,7 +627,8 @@ def iota_abelianization(X) -> AbMap:
     if X.rank(1) != 1:
         raise ValidationError("identification needs a rank-1 degree-0 term")
     ab, coords_of = abelianization(G)
-    tz = tate_hypercohomology(X, concentrate(zmodule(G), 0), -2, -2)
+    if tz is None or not tz.qlo <= -2 <= tz.qhi:
+        tz = tate_hypercohomology(X, concentrate(zmodule(G), 0), -2, -2)
     grp = tz.group(-2)
     dgen1 = X.diff_gen(1)
     cols = []
@@ -700,12 +704,18 @@ def tate_nakayama_check(X, C: GComplex, a: TateClass,
                         qlo: int = -2, qhi: int = 3) -> TateNakayamaReport:
     """Verify hypothesis (i) H^1(H, C) = 0 for every subgroup, hypothesis
     (ii) res_H(a) generates H^2(H, C) and has order |H|, and (when those
-    hold) that cupping with a is an isomorphism in each requested degree."""
+    hold) that cupping with a is an isomorphism in each requested degree.
+    Both are read once per conjugacy class: conjugation is an isomorphism
+    on Tate groups commuting with res from G, fixing a (Brown III.8, VI.5)."""
     G = X.group
     report = TateNakayamaReport(a, qlo, qhi)
     ambient = tate_hypercohomology(X, C, 1, 2)
-    for H in all_subgroups(G):
-        pair = SubgroupPair(X, C, H, 1, 2, ambient=ambient)
+    subs = all_subgroups(G)
+    reps = conjugacy_representatives(G, subs)
+    pairs = {e: SubgroupPair(X, C, s, 1, 2, ambient=ambient)
+             for e, s in reps.items() if e == s.elements}
+    for H in subs:
+        pair = pairs[reps[H.elements].elements]
         inv1 = pair.tate_H.invariants(1)
         ok1 = inv1 == ()
         report.h1_rows.append((H.elements, inv1, ok1))
@@ -720,8 +730,10 @@ def tate_nakayama_check(X, C: GComplex, a: TateClass,
             report.failed_hypothesis = "(ii)"
     if report.failed_hypothesis is None and qlo <= qhi:
         tate = tate_hypercohomology(X, C, min(qlo, 2), max(qhi, 2))
+        tz = tate_hypercohomology(X, concentrate(zmodule(G), 0),
+                                  qlo - 2, qhi - 2)
         for q in range(qlo, qhi + 1):
-            cup = cup_with(X, C, a, q, tate=tate)
+            cup = cup_with(X, C, a, q, tate=tate, tz=tz)
             report.conclusion.append(
                 (q, cup.source.invariants(), cup.target.invariants(),
                  cup.is_isomorphism()))

@@ -15,6 +15,7 @@ from tateform.groups import (
     abelianization,
     all_subgroups,
     commutator_subgroup,
+    conjugacy_representatives,
     coset_representatives,
     direct_product,
     from_table,
@@ -162,6 +163,40 @@ class TestSubgroups:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             all_subgroups(make_cyclic(12), cap=10)
+
+    def test_enumeration_is_kept_on_the_group(self):
+        G = make_cyclic(12)
+        first = all_subgroups(G)
+        first.pop()
+        second = all_subgroups(G)
+        assert len(second) == 6 and second is not first
+        assert [s.elements for s in second] == [
+            s.elements for s in all_subgroups(make_cyclic(12))]
+        # the cap is checked before the kept result is read
+        with pytest.raises(CapExceeded):
+            all_subgroups(G, cap=10)
+
+    def test_conjugacy_representatives_of_s4(self):
+        G = symmetric_group(4)
+        subs = all_subgroups(G)
+        reps = conjugacy_representatives(G, subs)
+        assert set(reps) == {s.elements for s in subs}
+        firsts = {r.elements for r in reps.values()}
+        assert len(firsts) == 11
+        position = {s.elements: i for i, s in enumerate(subs)}
+        for s in subs:
+            r = reps[s.elements]
+            assert position[r.elements] <= position[s.elements]
+            assert reps[r.elements] is r
+            assert any(tuple(sorted(G.conjugate(g, h) for h in r.elements))
+                       == s.elements for g in G.elements)
+
+    def test_abelian_subgroups_are_their_own_representatives(self):
+        for G in (make_cyclic(12),
+                  direct_product(make_cyclic(2), make_cyclic(4))):
+            subs = all_subgroups(G)
+            reps = conjugacy_representatives(G, subs)
+            assert all(reps[s.elements] is s for s in subs)
 
     def test_subgroup_closure_validated(self):
         with pytest.raises(ValidationError, match="closed"):

@@ -210,6 +210,97 @@ def test_formation_models_each_proper_subgroup_once(monkeypatch):
     assert len(calls) == 5
 
 
+def _s3_s4(name):
+    if name == "S4-w3":
+        G = groups.symmetric_group(4)
+        return G, complete_resolution(peeled_resolution(G, 3))
+    G = groups.symmetric_group(3)
+    return G, complete_resolution(peeled_resolution(G, 4))
+
+
+@pytest.mark.parametrize("name, degree, models", [
+    ("S3", 0, 3), ("S4-w3", 0, 10), ("S3", 2, 5)])
+def test_formation_models_one_subgroup_per_conjugacy_class(
+        monkeypatch, name, degree, models):
+    # (C1) and (C2) read one subgroup per conjugacy class: S3 has 3 proper
+    # classes, S4 has 10.  Z at degree 2 passes them, and (C3) reads every
+    # proper subgroup's own model (S3 has 5)
+    G, X = _s3_s4(name)
+    calls = _counting(monkeypatch, tate.SubgroupResolution, "__init__")
+    report = check_class_formation(X, concentrate(zmodule(G), degree))
+    assert report.passed == (degree == 2)
+    assert len(calls) == models
+
+
+@pytest.mark.parametrize("name, models", [("S3", 4), ("S4-w3", 11)])
+def test_tate_nakayama_models_one_subgroup_per_conjugacy_class(
+        monkeypatch, name, models):
+    # hypotheses (i) and (ii) range over every subgroup, G included
+    G, X = _s3_s4(name)
+    C = concentrate(zmodule(G), 0)
+    a = tate.tate_hypercohomology(X, C, 2, 2).class_at(2, (1,))
+    calls = _counting(monkeypatch, tate.SubgroupResolution, "__init__")
+    report = tate.tate_nakayama_check(X, C, a, 1, 0)
+    assert len(report.h1_rows) == len(groups.all_subgroups(G))
+    assert len(calls) == models
+
+
+def test_a_formation_scenario_enumerates_subgroups_once(monkeypatch):
+    # formation, norm table and Tate-Nakayama read the subgroups kept on
+    # the one group object: one enumeration of Z/24 takes 132 closures,
+    # and the commutator subgroup of the reciprocity map one more
+    doc = {"name": "cyclic-24-formation",
+           "group": {"kind": "cyclic", "n": 24},
+           "coefficients": {"kind": "trivial", "shift": 0},
+           "analyses": [{"kind": "formation"}, {"kind": "norm-table"},
+                        {"kind": "tate-nakayama"}]}
+    calls = _counting(monkeypatch, groups.FiniteGroup, "closure")
+    report = cli.run_scenario(cli.parse_scenario(doc))
+    assert [r.get("verdict") for r in report["results"]] == [
+        "PASS", "ok", "PASS"]
+    assert len(calls) == 133
+
+
+def _counting_z_builds(monkeypatch, C):
+    # Z-coefficient groups, told apart from C's by the coefficient object
+    calls = []
+    original = tate.tate_hypercohomology
+
+    def wrapper(X, coeff, qlo, qhi):
+        if coeff is not C:
+            calls.append((qlo, qhi))
+        return original(X, coeff, qlo, qhi)
+
+    monkeypatch.setattr(tate, "tate_hypercohomology", wrapper)
+    monkeypatch.setattr(formation, "tate_hypercohomology", wrapper)
+    return calls
+
+
+def test_tate_nakayama_builds_the_z_groups_once(monkeypatch):
+    # one Z-coefficient build over [qlo - 2, qhi - 2] serves every degree's
+    # cup, where each degree built its own
+    G = groups.make_cyclic(6)
+    X = complete_resolution(periodic_resolution(G, 6))
+    C = concentrate(zmodule(G), 0)
+    a = tate.tate_hypercohomology(X, C, 2, 2).class_at(2, (1,))
+    calls = _counting_z_builds(monkeypatch, C)
+    assert tate.tate_nakayama_check(X, C, a, -2, 3).verdict == "PASS"
+    assert calls == [(-4, 1)]
+
+
+def test_reciprocity_map_builds_the_z_groups_once(monkeypatch):
+    # the cup and iota share one H^{-2}(G, Z)
+    G = groups.make_cyclic(6)
+    X = complete_resolution(periodic_resolution(G, 6))
+    C = concentrate(zmodule(G), 0)
+    report = check_class_formation(X, C)
+    calls = _counting_z_builds(monkeypatch, C)
+    rec = formation.reciprocity_map(X, C, report.fundamental)
+    assert rec.verdict
+    assert rec.matrix.tolist() == report.reciprocity_matrix.tolist()
+    assert calls == [(-2, -2)]
+
+
 @pytest.mark.parametrize("n", [12, 24])
 def test_formation_classifies_the_family_once_per_subgroup(monkeypatch, n):
     # the subgroup models are views of X, so X's is the one free resolution

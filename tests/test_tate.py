@@ -337,6 +337,24 @@ class TestCupProducts:
         for q in range(-2, 4):
             assert cup_with(X, C, a, q, tate=T).is_isomorphism()
 
+    @pytest.mark.parametrize("setup", ["Z6", "S3"])
+    def test_one_z_group_over_the_range_gives_the_same_cups(self, setup):
+        # a total complex's blocks, differentials and relators at a degree
+        # do not depend on its range, so one Z-coefficient group over
+        # [qlo - 2, qhi - 2] gives every degree the generators of its own
+        G, X = cyclic_setup(6) if setup == "Z6" else s3_setup()
+        C = concentrate(zmodule(G), 2)
+        T = tate_hypercohomology(X, C, -2, 3)
+        a = T.class_at(2, (1,))
+        tz = tate_hypercohomology(X, concentrate(zmodule(G), 0), -4, 1)
+        for q in range(-2, 4):
+            alone = cup_with(X, C, a, q, tate=T)
+            shared = cup_with(X, C, a, q, tate=T, tz=tz)
+            assert shared.matrix.tolist() == alone.matrix.tolist()
+            assert shared.source.invariants() == alone.source.invariants()
+        io = iota_abelianization(X)
+        assert io.matrix.tolist() == iota_abelianization(X, tz).matrix.tolist()
+
     def test_non_generator_is_not_isomorphism(self):
         G, X = cyclic_setup(4)
         C = concentrate(zmodule(G), 0)
