@@ -39,7 +39,7 @@ a_vec = T.element(2, a.coords)
 for q in (-2, 0, 2):
     p = q - 2
     tz = tate_hypercohomology(X, concentrate(zmodule(G), 0), p, p)
-    composition = cup_with(X, C, a, q, tate=T)
+    composition = cup_with(X, C, a, q)
     grp = T.group(q)
     for i in range(tz.group(p).ngens):
         via = cup_via_diagonal(X, diag, C, tz.representative(p, i),

@@ -28,8 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .gcomplexes import GComplex, concentrate
-from .gmodules import zmodule
+from .gcomplexes import GComplex
 from .groups import (Subgroup, abelianization, all_subgroups,
                      conjugacy_representatives, whole_subgroup)
 from .intlinalg import (
@@ -46,11 +45,10 @@ from .intlinalg import (
 from .tate import (
     SubgroupPair,
     TateClass,
-    TateGroups,
     cup_with,
     iota_abelianization,
     restriction_blocks,
-    tate_hypercohomology,
+    subgroup_pair,
     tate_nakayama_check,
 )
 
@@ -134,20 +132,12 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
     report = FormationReport()
     subs = all_subgroups(G)
     reps = conjugacy_representatives(G, subs)
-    # G's groups are X's own; a proper subgroup's pair is built when read
-    ambient = tate_hypercohomology(X, C, 1, 2)
-    pairs: Dict[tuple, SubgroupPair] = {}
 
     def pair(s: Subgroup) -> SubgroupPair:
-        if s.elements not in pairs:
-            pairs[s.elements] = SubgroupPair(X, C, s, 1, 2, ambient=ambient)
-        return pairs[s.elements]
-
-    def tate(s: Subgroup) -> TateGroups:
-        return ambient if s.is_whole_group() else pair(s).tate_H
+        return subgroup_pair(X, C, s, 1, 2)
 
     for s in subs:
-        t = tate(reps[s.elements])
+        t = pair(reps[s.elements]).tate_H
         inv1, inv2 = t.invariants(1), t.invariants(2)
         report.c1_rows.append((s.elements, inv1, inv1 == ()))
         report.c2_rows.append((s.elements, inv2, s.order,
@@ -172,21 +162,21 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
         # both restrict along the pairs through G
         key = (u.elements, v.elements)
         if key not in rmats:
-            src = None if u.is_whole_group() else pair(u).model
-            rmats[key] = restriction_blocks(src, pair(v).model, C,
-                                            tate(u).total, tate(v).total, 2)
+            rmats[key] = restriction_blocks(pair(u).model, pair(v).model, C,
+                                            pair(u).tate_H.total,
+                                            pair(v).tate_H.total, 2)
         return rmats[key]
 
     # res_u[H] is res_H(u) in H's coordinates; at G, u itself
     res_u = {whole.elements: (1,) if G.order > 1 else ()}
     for s in subs:
         if not s.is_whole_group():
-            res_u[s.elements] = tate(s).classify(
-                2, restriction(whole, s) @ ambient.representative(2, 0))
+            res_u[s.elements] = pair(s).tate_H.classify(2, restriction(
+                whole, s) @ pair(whole).tate_H.representative(2, 0))
     found = []
     for k in _coprime_residues(G.order) or [1]:
         report.candidates_tried += 1
-        trial = {s.elements: tate(s).class_at(
+        trial = {s.elements: pair(s).tate_H.class_at(
             2, [k * c for c in res_u[s.elements]]) for s in subs}
         if all(trial[s.elements].order == s.order for s in subs):
             found.append(trial)
@@ -203,8 +193,8 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
         for v in subs:
             if v.order >= u.order or not set(v.elements) <= set(u.elements):
                 continue
-            cocycle = tate(u).element(2, family[u.elements].coords)
-            got = tate(v).classify_class(2, restriction(u, v) @ cocycle)
+            cocycle = pair(u).tate_H.element(2, family[u.elements].coords)
+            got = pair(v).tate_H.classify_class(2, restriction(u, v) @ cocycle)
             ok = got.coords == family[v.elements].coords
             report.c3_rows.append((u.elements, v.elements, ok))
             if not ok and report.failure is None:
@@ -262,14 +252,12 @@ def reciprocity_map(X, C: GComplex, u: TateClass) -> AbMap:
     (H^{-2}(G, Z) -> H^0(G, C)) with iota: H^{-2}(G, Z) -> G^ab.  Its
     verdict records both injectivity (equal orders) and surjectivity,
     which is what density means at a finite level."""
-    tate = tate_hypercohomology(X, C, 0, 2)
-    tz = tate_hypercohomology(X, concentrate(zmodule(X.group), 0), -2, -2)
-    cup = cup_with(X, C, u, 0, tate=tate, tz=tz)
+    cup = cup_with(X, C, u, 0)
     if not cup.is_isomorphism():
         raise ValidationError(
             "cup map is not invertible; Tate-Nakayama should forbid this")
     inv = _invert_on_groups(cup.matrix, cup.source, cup.target)
-    io = iota_abelianization(X, tz)
+    io = iota_abelianization(X)
     return AbMap(io.matrix @ inv, cup.target, io.target)
 
 
@@ -321,12 +309,11 @@ def norm_group_table(X, C: GComplex, u: TateClass,
         rec = reciprocity_map(X, C, u)
     h0 = rec.source
     abG, coords = abelianization(G)
-    ambient = tate_hypercohomology(X, C, 0, 0)
     table = NormGroupTable()
     for V in all_subgroups(G):
         if not V.is_normal:
             continue
-        pair = SubgroupPair(X, C, V, 0, 0, ambient=ambient)
+        pair = subgroup_pair(X, C, V, 0, 0)
         cor_cols = pair.cor_matrix(0)
         quot = cokernel_structure(
             hstack([cor_cols, h0.relations()])).invariants()

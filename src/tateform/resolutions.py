@@ -272,6 +272,9 @@ class CompleteResolution:
         self.window = res.length
         self._full_cache: Dict[int, IntMatrix] = {}
         self._gen_cache: Dict[int, IntMatrix] = {}
+        # tate.tate_hypercohomology keeps id(C) -> (C, Tate groups, subgroup
+        # pairs) here, C held so its id stays its own; "Z" -> the Z complex
+        self._tate: Dict[object, object] = {}
 
     @property
     def eps(self) -> IntMatrix:

@@ -276,8 +276,22 @@ class TateGroups:
 
 
 def tate_hypercohomology(X, C: GComplex, qlo: int, qhi: int) -> TateGroups:
-    """Tate hypercohomology of C over the range [qlo, qhi]."""
-    return TateGroups(TotalComplex(X, C, qlo, qhi), qlo, qhi)
+    """Tate hypercohomology of C over [qlo, qhi], kept on X.  A request reads
+    the first kept groups of C whose range holds [qlo, qhi]: generators at a
+    degree do not depend on the range.  A miss builds exactly [qlo, qhi]."""
+    kept = X._tate.setdefault(id(C), (C, [], {}))[1]
+    for T in kept:
+        if T.qlo <= qlo <= qhi <= T.qhi:
+            return T
+    kept.append(TateGroups(TotalComplex(X, C, qlo, qhi), qlo, qhi))
+    return kept[-1]
+
+
+def _z_groups(X, qlo: int, qhi: int) -> TateGroups:
+    """Tate groups of Z in degree 0, from the one Z complex kept on X."""
+    if "Z" not in X._tate:
+        X._tate["Z"] = concentrate(zmodule(X.group), 0)
+    return tate_hypercohomology(X, X._tate["Z"], qlo, qhi)
 
 
 def remark_agreement(X, M: GModule, qlo: int = -1, qhi: int = 2):
@@ -332,6 +346,7 @@ class SubgroupResolution(CompleteResolution):
         self.window = X.window
         self._full_cache: Dict[int, IntMatrix] = {}
         self._gen_cache: Dict[int, IntMatrix] = {}
+        self._tate: Dict[object, object] = {}
         self.parent = X
         self.subgroup = H
         self.embed = embed
@@ -437,22 +452,17 @@ def corestriction_blocks(model: SubgroupResolution, C: GComplex,
 
 class SubgroupPair:
     """Tate groups of a group and one subgroup over a degree range, with
-    the restriction and corestriction maps between them.  ``ambient``, when
-    given, is G's tate_hypercohomology(X, C, qlo, qhi), shared by callers
-    that visit many subgroups.  Every degree of the range is computed on
-    both sides, its representatives checked as cocycles; none is skipped."""
+    the restriction and corestriction maps between them; for H = G the
+    subgroup side is G's own groups.  Every degree of the range is computed
+    on both sides, its representatives checked as cocycles."""
 
-    def __init__(self, X, C: GComplex, H: Subgroup, qlo: int, qhi: int,
-                 ambient: Optional[TateGroups] = None):
-        self.X = X
+    def __init__(self, X, C: GComplex, H: Subgroup, qlo: int, qhi: int):
         self.C = C
-        self.H = H
         self.model = SubgroupResolution(X, H)
         self.CH = restrict_complex(C, H)
-        self.tate_G = ambient if ambient is not None \
-            else tate_hypercohomology(X, C, qlo, qhi)
-        self.tate_H = TateGroups(
-            TotalComplex(self.model, self.CH, qlo, qhi), qlo, qhi)
+        self.tate_G = tate_hypercohomology(X, C, qlo, qhi)
+        self.tate_H = self.tate_G if H.is_whole_group() else \
+            tate_hypercohomology(self.model, self.CH, qlo, qhi)
 
     def res_cochain(self, q: int) -> IntMatrix:
         return restriction_blocks(None, self.model, self.C,
@@ -480,6 +490,16 @@ class SubgroupPair:
     def cor_matrix(self, q: int) -> IntMatrix:
         return induced_map(self.tate_H, self.tate_G, self.cor_cochain(q),
                            q, q).matrix
+
+
+def subgroup_pair(X, C: GComplex, H: Subgroup, qlo: int,
+                  qhi: int) -> SubgroupPair:
+    """The SubgroupPair of C and H over [qlo, qhi] kept on X."""
+    pairs = X._tate.setdefault(id(C), (C, [], {}))[2]
+    key = (H.elements, qlo, qhi)
+    if key not in pairs:
+        pairs[key] = SubgroupPair(X, C, H, qlo, qhi)
+    return pairs[key]
 
 
 # ---------------------------------------------------------------------------
@@ -558,28 +578,21 @@ class ShiftLift:
         return dual_gen(G, X.rank(s + 1), sol)
 
 
-def cup_with(X, C: GComplex, a: TateClass, q: int,
-             tate: Optional[TateGroups] = None,
-             tz: Optional[TateGroups] = None) -> AbMap:
+def cup_with(X, C: GComplex, a: TateClass, q: int) -> AbMap:
     """The map H^{q-2}(G, Z) -> H^q(G, C) given by cupping with a.
 
     Realized by composition: each source class w lifts to a chain map Xi
     raising resolution degree by q-2; postcomposing a representative of a
     with Xi gives the cup cochain.  Coefficient complexes wider than two
-    adjacent degrees are rejected.  ``tate`` and ``tz`` are C's and Z's
-    groups, read when their ranges hold q and q-2.
+    adjacent degrees are rejected.
     """
     if a.degree != 2:
         raise ValidationError("cup_with expects a degree-2 class")
-    if tate is None or not (tate.qlo <= min(q, 2) and tate.qhi >= max(q, 2)):
-        tate = tate_hypercohomology(X, C, min(q, 2), max(q, 2))
-    a_vec = tate.element(2, a.coords)
-    return cup_from_cochain(X, C, a_vec, q, tate, tz)
+    tate = tate_hypercohomology(X, C, min(q, 2), max(q, 2))
+    return cup_from_cochain(X, C, tate.element(2, a.coords), q)
 
 
-def cup_from_cochain(X, C: GComplex, a_vec: np.ndarray, q: int,
-                     tate: TateGroups,
-                     tz: Optional[TateGroups] = None) -> AbMap:
+def cup_from_cochain(X, C: GComplex, a_vec: np.ndarray, q: int) -> AbMap:
     """Same as cup_with, from an explicit degree-2 cocycle vector; used to
     demonstrate independence of the chosen representative."""
     if C.hi - C.lo + 1 > 2:
@@ -587,8 +600,8 @@ def cup_from_cochain(X, C: GComplex, a_vec: np.ndarray, q: int,
             "cup products support coefficient complexes of width <= 2, "
             "got support [%d, %d]" % (C.lo, C.hi))
     p = q - 2
-    if tz is None or not tz.qlo <= p <= tz.qhi:
-        tz = tate_hypercohomology(X, concentrate(zmodule(X.group), 0), p, p)
+    tate = tate_hypercohomology(X, C, min(q, 2), max(q, 2))
+    tz = _z_groups(X, p, p)
     source = tz.group(p)
     target = tate.group(q)
 
@@ -617,7 +630,7 @@ def cup_from_cochain(X, C: GComplex, a_vec: np.ndarray, q: int,
 # degree -2 with Z coefficients vs the abelianization
 
 
-def iota_abelianization(X, tz: Optional[TateGroups] = None) -> AbMap:
+def iota_abelianization(X) -> AbMap:
     """H^{-2}(G, Z) -> G^ab via the augmentation ideal: a cocycle w on X^2
     produces the element h = -(w~ o d^1)(generator) of the augmentation
     ideal, whose coordinates map onto the abelianization.  The overall sign
@@ -627,8 +640,7 @@ def iota_abelianization(X, tz: Optional[TateGroups] = None) -> AbMap:
     if X.rank(1) != 1:
         raise ValidationError("identification needs a rank-1 degree-0 term")
     ab, coords_of = abelianization(G)
-    if tz is None or not tz.qlo <= -2 <= tz.qhi:
-        tz = tate_hypercohomology(X, concentrate(zmodule(G), 0), -2, -2)
+    tz = _z_groups(X, -2, -2)
     grp = tz.group(-2)
     dgen1 = X.diff_gen(1)
     cols = []
@@ -709,13 +721,10 @@ def tate_nakayama_check(X, C: GComplex, a: TateClass,
     on Tate groups commuting with res from G, fixing a (Brown III.8, VI.5)."""
     G = X.group
     report = TateNakayamaReport(a, qlo, qhi)
-    ambient = tate_hypercohomology(X, C, 1, 2)
     subs = all_subgroups(G)
     reps = conjugacy_representatives(G, subs)
-    pairs = {e: SubgroupPair(X, C, s, 1, 2, ambient=ambient)
-             for e, s in reps.items() if e == s.elements}
     for H in subs:
-        pair = pairs[reps[H.elements].elements]
+        pair = subgroup_pair(X, C, reps[H.elements], 1, 2)
         inv1 = pair.tate_H.invariants(1)
         ok1 = inv1 == ()
         report.h1_rows.append((H.elements, inv1, ok1))
@@ -729,11 +738,11 @@ def tate_nakayama_check(X, C: GComplex, a: TateClass,
         if not ok2 and report.failed_hypothesis is None:
             report.failed_hypothesis = "(ii)"
     if report.failed_hypothesis is None and qlo <= qhi:
-        tate = tate_hypercohomology(X, C, min(qlo, 2), max(qhi, 2))
-        tz = tate_hypercohomology(X, concentrate(zmodule(G), 0),
-                                  qlo - 2, qhi - 2)
+        # one build over the whole range serves every degree's cup
+        tate_hypercohomology(X, C, min(qlo, 2), max(qhi, 2))
+        _z_groups(X, qlo - 2, qhi - 2)
         for q in range(qlo, qhi + 1):
-            cup = cup_with(X, C, a, q, tate=tate, tz=tz)
+            cup = cup_with(X, C, a, q)
             report.conclusion.append(
                 (q, cup.source.invariants(), cup.target.invariants(),
                  cup.is_isomorphism()))

@@ -228,7 +228,7 @@ def test_criterion_09_cor_res_composite():
     for name, G, C, X in bundled_pairs():
         T = tate_hypercohomology(X, C, 0, 2)
         for H in all_subgroups(G):
-            pair = SubgroupPair(X, C, H, 0, 2, ambient=T)
+            pair = SubgroupPair(X, C, H, 0, 2)
             for q in (0, 1, 2):
                 grp = T.group(q)
                 for i in range(grp.ngens):

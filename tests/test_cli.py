@@ -130,6 +130,25 @@ class TestGolden:
         with open(os.path.join(GOLDEN_DIR, "%s.txt" % name)) as fh:
             assert out == fh.read()
 
+    @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt")])
+    def test_every_analysis_on_one_group_matches_golden_file(self, tmp_path,
+                                                             fmt, ext):
+        # the five analyses read one set of Tate groups kept on the
+        # resolution; the goldens pin every coordinate read through it
+        doc = {"name": "z6-every-analysis",
+               "group": {"kind": "cyclic", "n": 6},
+               "coefficients": {"kind": "trivial", "shift": 0},
+               "analyses": [{"kind": "formation"}, {"kind": "norm-table"},
+                            {"kind": "tate-nakayama"},
+                            {"kind": "cone-les", "m": 2},
+                            {"kind": "tate", "range": [-2, 3]}]}
+        p = tmp_path / "z6-every-analysis.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = invoke(["run", str(p), "--format", fmt])
+        assert (code, err) == (0, "")
+        with open(os.path.join(GOLDEN_DIR, "z6-every-analysis.%s" % ext)) as fh:
+            assert out == fh.read()
+
     def test_three_runs_byte_identical(self):
         outs = {invoke(["demo", "s3-z", "--format", "json"])[1]
                 for _ in range(3)}
@@ -214,6 +233,33 @@ class TestExitCodes:
 
     def test_missing_file(self):
         assert invoke(["run", "/does/not/exist.json"])[0] == 1
+
+    @pytest.mark.parametrize("group, exit_code", [
+        ({"kind": "product", "factors": [2, 2]}, 0),
+        ({"kind": "cyclic", "n": 4}, 2)], ids=["c2xc2", "z4"])
+    def test_tate_nakayama_builds_only_the_ranges_it_reads(
+            self, tmp_path, group, exit_code):
+        # window 3 holds the hypotheses' degrees [1, 2] but not the
+        # conclusion's [-2, 3].  C2 x C2 fails (ii), so its conclusion is
+        # never built and it exits 0; Z/4 passes the hypotheses and its
+        # conclusion build exits 2.  One build over both ranges would make
+        # C2 x C2 exit 2 as well
+        doc = minimal_doc(group=group, analyses=[
+            {"kind": "tate-nakayama", "range": [-2, 3]}],
+            options={"window": 3})
+        p = tmp_path / "tn.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = invoke(["run", str(p)])
+        assert code == exit_code
+        if exit_code == 0:
+            assert err == ""
+            assert "[tate-nakayama] FAIL (ii)" in out
+            assert "cup at" not in out
+        else:
+            assert out == ""
+            assert err == (
+                "computation error: degrees [-2, 3] with coefficient support "
+                "[0, 0] need resolution degrees [-4, 3]; window is [-3, 3]\n")
 
     def test_window_too_small_is_computation_error(self):
         code, _, err = invoke(

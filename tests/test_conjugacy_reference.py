@@ -47,7 +47,7 @@ def reference_formation(X, C):
     report = FormationReport()
     subs = all_subgroups(G)
     ambient = tate_hypercohomology(X, C, 1, 2)
-    pairs = {s.elements: SubgroupPair(X, C, s, 1, 2, ambient=ambient)
+    pairs = {s.elements: SubgroupPair(X, C, s, 1, 2)
              for s in subs if not s.is_whole_group()}
 
     def tate(s):
@@ -121,7 +121,7 @@ def reference_tate_nakayama(X, C, a, qlo, qhi):
     report = TateNakayamaReport(a, qlo, qhi)
     ambient = tate_hypercohomology(X, C, 1, 2)
     for H in all_subgroups(G):
-        pair = SubgroupPair(X, C, H, 1, 2, ambient=ambient)
+        pair = SubgroupPair(X, C, H, 1, 2)
         inv1 = pair.tate_H.invariants(1)
         ok1 = inv1 == ()
         report.h1_rows.append((H.elements, inv1, ok1))
@@ -137,7 +137,7 @@ def reference_tate_nakayama(X, C, a, qlo, qhi):
     if report.failed_hypothesis is None and qlo <= qhi:
         tate = tate_hypercohomology(X, C, min(qlo, 2), max(qhi, 2))
         for q in range(qlo, qhi + 1):
-            cup = cup_with(X, C, a, q, tate=tate)
+            cup = cup_with(X, C, a, q)
             report.conclusion.append(
                 (q, cup.source.invariants(), cup.target.invariants(),
                  cup.is_isomorphism()))
@@ -207,7 +207,7 @@ def test_each_subgroup_has_its_representatives_groups(group, coeff):
     G, X, C = _setup(group, coeff)
     reps = conjugacy_representatives(G, all_subgroups(G))
     ambient = tate_hypercohomology(X, C, 1, 2)
-    pairs = {s.elements: SubgroupPair(X, C, s, 1, 2, ambient=ambient)
+    pairs = {s.elements: SubgroupPair(X, C, s, 1, 2)
              for s in all_subgroups(G) if not s.is_whole_group()}
     for e, pair in pairs.items():
         rep = pairs[reps[e].elements]

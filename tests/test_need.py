@@ -200,14 +200,31 @@ def test_each_restriction_matrix_is_built_once(monkeypatch):
     assert len(calls) == 12
 
 
+def _counting_builds(monkeypatch):
+    """Every total complex built, as (resolution, complex, qlo, qhi)."""
+    builds = []
+    original = tate.TotalComplex.__init__
+
+    def wrapper(self, X, C, qlo, qhi):
+        builds.append((X, C, qlo, qhi))
+        original(self, X, C, qlo, qhi)
+
+    monkeypatch.setattr(tate.TotalComplex, "__init__", wrapper)
+    return builds
+
+
+def _subgroup_builds(builds):
+    return [b for b in builds if isinstance(b[0], tate.SubgroupResolution)]
+
+
 def test_formation_models_each_proper_subgroup_once(monkeypatch):
-    # G's own groups are the ambient ones on X, so only the five proper
-    # subgroups of Z/12 get a subgroup model
+    # G's own groups are X's, so only the five proper subgroups of Z/12
+    # get a total complex over a subgroup model
     G = groups.make_cyclic(12)
     X = complete_resolution(periodic_resolution(G, 4))
-    calls = _counting(monkeypatch, tate.SubgroupResolution, "__init__")
+    builds = _counting_builds(monkeypatch)
     assert check_class_formation(X, concentrate(zmodule(G), 0)).passed
-    assert len(calls) == 5
+    assert len(_subgroup_builds(builds)) == 5
 
 
 def _s3_s4(name):
@@ -224,25 +241,27 @@ def test_formation_models_one_subgroup_per_conjugacy_class(
         monkeypatch, name, degree, models):
     # (C1) and (C2) read one subgroup per conjugacy class: S3 has 3 proper
     # classes, S4 has 10.  Z at degree 2 passes them, and (C3) reads every
-    # proper subgroup's own model (S3 has 5)
+    # proper subgroup's own groups (S3 has 5)
     G, X = _s3_s4(name)
-    calls = _counting(monkeypatch, tate.SubgroupResolution, "__init__")
+    builds = _counting_builds(monkeypatch)
     report = check_class_formation(X, concentrate(zmodule(G), degree))
     assert report.passed == (degree == 2)
-    assert len(calls) == models
+    assert len(_subgroup_builds(builds)) == models
 
 
-@pytest.mark.parametrize("name, models", [("S3", 4), ("S4-w3", 11)])
+@pytest.mark.parametrize("name, models", [("S3", 3), ("S4-w3", 10)])
 def test_tate_nakayama_models_one_subgroup_per_conjugacy_class(
         monkeypatch, name, models):
-    # hypotheses (i) and (ii) range over every subgroup, G included
+    # hypotheses (i) and (ii) range over every subgroup, G included; G's
+    # row reads X's own groups over [1, 2], the one complex built on X
     G, X = _s3_s4(name)
     C = concentrate(zmodule(G), 0)
     a = tate.tate_hypercohomology(X, C, 2, 2).class_at(2, (1,))
-    calls = _counting(monkeypatch, tate.SubgroupResolution, "__init__")
+    builds = _counting_builds(monkeypatch)
     report = tate.tate_nakayama_check(X, C, a, 1, 0)
     assert len(report.h1_rows) == len(groups.all_subgroups(G))
-    assert len(calls) == models
+    assert len(_subgroup_builds(builds)) == models
+    assert [b[2:] for b in builds if b[0] is X] == [(1, 2)]
 
 
 def test_a_formation_scenario_enumerates_subgroups_once(monkeypatch):
@@ -261,19 +280,9 @@ def test_a_formation_scenario_enumerates_subgroups_once(monkeypatch):
     assert len(calls) == 133
 
 
-def _counting_z_builds(monkeypatch, C):
-    # Z-coefficient groups, told apart from C's by the coefficient object
-    calls = []
-    original = tate.tate_hypercohomology
-
-    def wrapper(X, coeff, qlo, qhi):
-        if coeff is not C:
-            calls.append((qlo, qhi))
-        return original(X, coeff, qlo, qhi)
-
-    monkeypatch.setattr(tate, "tate_hypercohomology", wrapper)
-    monkeypatch.setattr(formation, "tate_hypercohomology", wrapper)
-    return calls
+def _z_builds(builds, X, C):
+    # Z-coefficient complexes on X, told apart from C's by the object
+    return [b[2:] for b in builds if b[0] is X and b[1] is not C]
 
 
 def test_tate_nakayama_builds_the_z_groups_once(monkeypatch):
@@ -283,22 +292,26 @@ def test_tate_nakayama_builds_the_z_groups_once(monkeypatch):
     X = complete_resolution(periodic_resolution(G, 6))
     C = concentrate(zmodule(G), 0)
     a = tate.tate_hypercohomology(X, C, 2, 2).class_at(2, (1,))
-    calls = _counting_z_builds(monkeypatch, C)
+    builds = _counting_builds(monkeypatch)
     assert tate.tate_nakayama_check(X, C, a, -2, 3).verdict == "PASS"
-    assert calls == [(-4, 1)]
+    assert _z_builds(builds, X, C) == [(-4, 1)]
 
 
 def test_reciprocity_map_builds_the_z_groups_once(monkeypatch):
-    # the cup and iota share one H^{-2}(G, Z)
+    # the cup and iota share one H^{-2}(G, Z): one build on a fresh
+    # resolution, none on one that already holds it
     G = groups.make_cyclic(6)
     X = complete_resolution(periodic_resolution(G, 6))
     C = concentrate(zmodule(G), 0)
     report = check_class_formation(X, C)
-    calls = _counting_z_builds(monkeypatch, C)
-    rec = formation.reciprocity_map(X, C, report.fundamental)
-    assert rec.verdict
-    assert rec.matrix.tolist() == report.reciprocity_matrix.tolist()
-    assert calls == [(-2, -2)]
+    fresh = complete_resolution(periodic_resolution(G, 6))
+    builds = _counting_builds(monkeypatch)
+    for Y in (fresh, X):
+        rec = formation.reciprocity_map(Y, C, report.fundamental)
+        assert rec.verdict
+        assert rec.matrix.tolist() == report.reciprocity_matrix.tolist()
+    assert _z_builds(builds, fresh, C) == [(-2, -2)]
+    assert _z_builds(builds, X, C) == []
 
 
 @pytest.mark.parametrize("n", [12, 24])
@@ -321,15 +334,54 @@ def test_formation_classifies_the_family_once_per_subgroup(monkeypatch, n):
 
 def test_hypotheses_only_check_builds_the_groups_of_g_once(monkeypatch):
     # fundamental_class asks tate_nakayama_check for the empty conclusion
-    # range (1, 0): G's groups over [1, 2] serve the hypotheses, and no
-    # second copy is built for a conclusion that reads nothing
+    # range (1, 0): the hypotheses read the groups over [1, 2] that the
+    # formation check kept, G's and its subgroups', so nothing is built
     G = groups.make_cyclic(6)
     X = complete_resolution(periodic_resolution(G, 4))
     C = concentrate(zmodule(G), 0)
     report = check_class_formation(X, C)
-    calls = _counting(monkeypatch, tate, "tate_hypercohomology")
+    builds = _counting_builds(monkeypatch)
     assert formation.fundamental_class(X, C, report) is report.fundamental
-    assert len(calls) == 1
+    assert builds == []
+
+
+def test_no_scenario_rebuilds_a_range_it_holds(monkeypatch):
+    # formation, the norm table and Tate-Nakayama read the groups kept per
+    # (resolution, complex), and cone-les reads C's for every m: no build
+    # repeats a range inside one already built for the same pair
+    doc = {"name": "cyclic-12-formation",
+           "group": {"kind": "table",
+                     "table": [list(r) for r in groups.make_cyclic(12).table]},
+           "coefficients": {"kind": "trivial", "shift": 0},
+           "analyses": [{"kind": "formation"}, {"kind": "norm-table"},
+                        {"kind": "tate-nakayama"}]}
+    builds = _counting_builds(monkeypatch)
+    report = cli.run_scenario(cli.parse_scenario(doc))
+    assert [r.get("verdict") for r in report["results"]] == [
+        "PASS", "ok", "PASS"]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["demo", "cone-les-z2"]) == 0
+    assert builds
+    for i, (X, C, lo, hi) in enumerate(builds):
+        for Y, D, lo_held, hi_held in builds[:i]:
+            assert not (Y is X and D is C and lo_held <= lo <= hi <= hi_held), \
+                (i, lo, hi)
+
+
+def test_norm_table_reads_g_and_its_groups_from_the_formation(monkeypatch):
+    # the reciprocity map kept G's groups over [0, 2], which hold the norm
+    # table's [0, 0], and the row for V = G reads them: only the five
+    # proper subgroups of Z/12 get a complex
+    G = groups.make_cyclic(12)
+    X = complete_resolution(periodic_resolution(G, 4))
+    C = concentrate(zmodule(G), 0)
+    report = check_class_formation(X, C)
+    builds = _counting_builds(monkeypatch)
+    table = formation.norm_group_table(X, C, report.fundamental,
+                                       report.reciprocity)
+    assert table.passed and len(table.rows) == 6
+    assert [b[2:] for b in builds] == [(0, 0)] * 5
+    assert len(_subgroup_builds(builds)) == 5
 
 
 C2 = groups.make_cyclic(2)

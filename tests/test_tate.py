@@ -324,7 +324,7 @@ class TestCupProducts:
         C = concentrate(zmodule(G), 0)
         T = tate_hypercohomology(X, C, 0, 2)
         zero = T.class_at(2, (0,))
-        cup = cup_with(X, C, zero, 0, tate=T)
+        cup = cup_with(X, C, zero, 0)
         assert all(v == 0 for v in cup.matrix.ravel())
         assert not cup.is_isomorphism()
 
@@ -335,7 +335,7 @@ class TestCupProducts:
         T = tate_hypercohomology(X, C, -2, 3)
         a = T.class_at(2, (1,))
         for q in range(-2, 4):
-            assert cup_with(X, C, a, q, tate=T).is_isomorphism()
+            assert cup_with(X, C, a, q).is_isomorphism()
 
     @pytest.mark.parametrize("setup", ["Z6", "S3"])
     def test_one_z_group_over_the_range_gives_the_same_cups(self, setup):
@@ -348,19 +348,19 @@ class TestCupProducts:
         a = T.class_at(2, (1,))
         tz = tate_hypercohomology(X, concentrate(zmodule(G), 0), -4, 1)
         for q in range(-2, 4):
-            alone = cup_with(X, C, a, q, tate=T)
-            shared = cup_with(X, C, a, q, tate=T, tz=tz)
+            alone = cup_with(X, C, a, q)
+            shared = cup_with(X, C, a, q)
             assert shared.matrix.tolist() == alone.matrix.tolist()
             assert shared.source.invariants() == alone.source.invariants()
         io = iota_abelianization(X)
-        assert io.matrix.tolist() == iota_abelianization(X, tz).matrix.tolist()
+        assert io.matrix.tolist() == iota_abelianization(X).matrix.tolist()
 
     def test_non_generator_is_not_isomorphism(self):
         G, X = cyclic_setup(4)
         C = concentrate(zmodule(G), 0)
         T = tate_hypercohomology(X, C, 0, 2)
         a2 = T.class_at(2, (2,))
-        cup = cup_with(X, C, a2, 0, tate=T)
+        cup = cup_with(X, C, a2, 0)
         assert cup.matrix.tolist() == [[2]]
         assert not cup.is_isomorphism()
 
@@ -375,8 +375,8 @@ class TestCupProducts:
         if eta.size:
             eta[0] = 3
         vec2 = vec + T.total.diff[1] @ eta
-        m1 = cup_from_cochain(X, C, vec, 0, T).matrix
-        m2 = cup_from_cochain(X, C, vec2, 0, T).matrix
+        m1 = cup_from_cochain(X, C, vec, 0).matrix
+        m2 = cup_from_cochain(X, C, vec2, 0).matrix
         assert np.array_equal(m1, m2)
 
     def test_cup_at_degree_two_sends_one_to_a(self):
@@ -386,7 +386,7 @@ class TestCupProducts:
         C = concentrate(zmodule(G), 0)
         T = tate_hypercohomology(X, C, 0, 2)
         a = T.class_at(2, (1,))
-        cup = cup_with(X, C, a, 2, tate=T)
+        cup = cup_with(X, C, a, 2)
         assert cup.apply((1,)) == (1,)
 
     def test_naturality_under_restriction(self):
@@ -402,13 +402,13 @@ class TestCupProducts:
         CH = pair2.CH
         TH = tate_hypercohomology(model, CH, -2, 3)
         for q in (0, 2):
-            cupG = cup_with(X, C, a, q, tate=T)
+            cupG = cup_with(X, C, a, q)
             pairq = SubgroupPair(X, C, H, q, q)
             # walk the generators of H^{q-2}(G, Z)
             zc = concentrate(zmodule(G), 0)
             tz = tate_hypercohomology(X, zc, q - 2, q - 2)
-            zpair = SubgroupPair(X, zc, H, q - 2, q - 2, ambient=tz)
-            cupH = cup_with(model, CH, res_a, q, tate=TH)
+            zpair = SubgroupPair(X, zc, H, q - 2, q - 2)
+            cupH = cup_with(model, CH, res_a, q)
             for i in range(tz.group(q - 2).ngens):
                 coords = tuple(
                     1 if j == i else 0 for j in range(tz.group(q - 2).ngens))
@@ -461,7 +461,7 @@ class TestUpwardLift:
         C = concentrate(trivial_cyclic(G, n), 3)
         for q in range(-1, 3):
             T = tate_hypercohomology(X, C, min(q, 2), max(q, 2))
-            cup = cup_with(X, C, T.class_at(2, coords), q, tate=T)
+            cup = cup_with(X, C, T.class_at(2, coords), q)
             assert cup.matrix.tolist() == want[q], q
 
 
@@ -625,7 +625,7 @@ class TestDiagonal:
         for q in (-2, 0, 2):
             p = q - 2
             tz = tate_hypercohomology(X, concentrate(zmodule(G), 0), p, p)
-            comp = cup_with(X, C, a, q, tate=T)
+            comp = cup_with(X, C, a, q)
             grp = T.group(q)
             for i in range(tz.group(p).ngens):
                 via = cup_via_diagonal(X, diag, C, tz.representative(p, i),
@@ -659,7 +659,7 @@ class TestDiagonal:
         for q in (-2, 0, 2):
             p = q - 2
             tz = tate_hypercohomology(X, C, p, p)
-            comp = cup_with(X, C, a, q, tate=T)
+            comp = cup_with(X, C, a, q)
             for i in range(tz.group(p).ngens):
                 via = cup_via_diagonal(X, diag, C, tz.representative(p, i),
                                        p, a_vec, T, q)
