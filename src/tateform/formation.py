@@ -42,15 +42,8 @@ from .intlinalg import (
     int_list,
     zeros,
 )
-from .tate import (
-    SubgroupPair,
-    TateClass,
-    cup_with,
-    iota_abelianization,
-    restriction_blocks,
-    subgroup_pair,
-    tate_nakayama_check,
-)
+from .tate import (SubgroupPair, TateClass, cup_with, iota_abelianization,
+                   restriction_blocks, subgroup_pair, tate_nakayama_check)
 
 LEX_NOTE = ("generator choice: lexicographically least compatible family "
             "(no canonical inv_H for abstract formations)")

@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 from .errors import CapExceeded, ValidationError
 from .gmodules import GModule, direct_sum, tensor, zero_module, zmodule
 from .groups import FiniteGroup
-from .intlinalg import IntMatrix, LatticeSolver, eye, matmul, zeros
+from .intlinalg import (IntMatrix, LatticeSolver, eye, hstack, matmul, vstack,
+                        zeros)
 
 TENSOR_POWER_CAP = 512
 
@@ -153,12 +154,8 @@ def cone_of_mult(C: GComplex, m: int) -> MultTriangle:
     for q in range(lo, hi + 1):
         top = C.term(q + 1).gens
         bottom = C.term(q).gens
-        inc = zeros(top + bottom, bottom)
-        inc[top:, :] = eye(bottom)
-        proj = zeros(top, top + bottom)
-        proj[:, :top] = eye(top)
-        inclusion[q] = inc
-        projection[q] = proj
+        inclusion[q] = vstack([zeros(top, bottom), eye(bottom)])
+        projection[q] = hstack([eye(top), zeros(top, bottom)])
     return MultTriangle(m, C, cone, inclusion, projection)
 
 

@@ -272,9 +272,7 @@ class CompleteResolution:
         self.window = res.length
         self._full_cache: Dict[int, IntMatrix] = {}
         self._gen_cache: Dict[int, IntMatrix] = {}
-        # tate.tate_hypercohomology keeps id(C) -> (C, Tate groups, subgroup
-        # pairs) here, C held so its id stays its own; "Z" -> the Z complex
-        self._tate: Dict[object, object] = {}
+        self._tate: Dict[object, object] = {}  # see tate._kept
 
     @property
     def eps(self) -> IntMatrix:

@@ -19,6 +19,7 @@ cone order bookkeeping, and diagonal approximations for cyclic groups.
 """
 
 from math import gcd
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -275,11 +276,20 @@ class TateGroups:
         return self.class_at(q, self.classify(q, cochain))
 
 
+def _kept(X, C: GComplex) -> SimpleNamespace:
+    """X._tate[id(C)]: C, held so that its id stays its own while X lives,
+    the Tate groups built for C over the ranges asked, and the SubgroupPairs
+    handed out per (H, range).  X._tate["Z"] is the entry of X's Z complex."""
+    if id(C) not in X._tate:
+        X._tate[id(C)] = SimpleNamespace(C=C, groups=[], pairs={})
+    return X._tate[id(C)]
+
+
 def tate_hypercohomology(X, C: GComplex, qlo: int, qhi: int) -> TateGroups:
     """Tate hypercohomology of C over [qlo, qhi], kept on X.  A request reads
     the first kept groups of C whose range holds [qlo, qhi]: generators at a
     degree do not depend on the range.  A miss builds exactly [qlo, qhi]."""
-    kept = X._tate.setdefault(id(C), (C, [], {}))[1]
+    kept = _kept(X, C).groups
     for T in kept:
         if T.qlo <= qlo <= qhi <= T.qhi:
             return T
@@ -290,8 +300,8 @@ def tate_hypercohomology(X, C: GComplex, qlo: int, qhi: int) -> TateGroups:
 def _z_groups(X, qlo: int, qhi: int) -> TateGroups:
     """Tate groups of Z in degree 0, from the one Z complex kept on X."""
     if "Z" not in X._tate:
-        X._tate["Z"] = concentrate(zmodule(X.group), 0)
-    return tate_hypercohomology(X, X._tate["Z"], qlo, qhi)
+        X._tate["Z"] = _kept(X, concentrate(zmodule(X.group), 0))
+    return tate_hypercohomology(X, X._tate["Z"].C, qlo, qhi)
 
 
 def remark_agreement(X, M: GModule, qlo: int = -1, qhi: int = 2):
@@ -302,7 +312,8 @@ def remark_agreement(X, M: GModule, qlo: int = -1, qhi: int = 2):
     Returns (q, hyper invariants, ordinary invariants, agree?) rows;
     degrees below -1 have no independent ordinary route and are skipped.
     """
-    T = tate_hypercohomology(X, concentrate(M, 0), qlo, qhi)
+    # M's complex is new to this call, so its groups are not kept on X
+    T = TateGroups(TotalComplex(X, concentrate(M, 0), qlo, qhi), qlo, qhi)
     rows = []
     for q in range(qlo, qhi + 1):
         if q == 0:
@@ -453,13 +464,13 @@ def corestriction_blocks(model: SubgroupResolution, C: GComplex,
 class SubgroupPair:
     """Tate groups of a group and one subgroup over a degree range, with
     the restriction and corestriction maps between them; for H = G the
-    subgroup side is G's own groups.  Every degree of the range is computed
-    on both sides, its representatives checked as cocycles."""
+    subgroup side is G's own groups and C.  Every degree of the range is
+    computed on both sides, its representatives checked as cocycles."""
 
     def __init__(self, X, C: GComplex, H: Subgroup, qlo: int, qhi: int):
         self.C = C
         self.model = SubgroupResolution(X, H)
-        self.CH = restrict_complex(C, H)
+        self.CH = C if H.is_whole_group() else restrict_complex(C, H)
         self.tate_G = tate_hypercohomology(X, C, qlo, qhi)
         self.tate_H = self.tate_G if H.is_whole_group() else \
             tate_hypercohomology(self.model, self.CH, qlo, qhi)
@@ -495,7 +506,7 @@ class SubgroupPair:
 def subgroup_pair(X, C: GComplex, H: Subgroup, qlo: int,
                   qhi: int) -> SubgroupPair:
     """The SubgroupPair of C and H over [qlo, qhi] kept on X."""
-    pairs = X._tate.setdefault(id(C), (C, [], {}))[2]
+    pairs = _kept(X, C).pairs
     key = (H.elements, qlo, qhi)
     if key not in pairs:
         pairs[key] = SubgroupPair(X, C, H, qlo, qhi)
@@ -799,7 +810,8 @@ def cone_les_check(X, C: GComplex, m: int, ilo: int = -2,
     their composite vanishes and their image orders multiply out."""
     tri = cone_of_mult(C, m)
     tC = tate_hypercohomology(X, C, ilo, ihi + 1)
-    tK = tate_hypercohomology(X, tri.cone, ilo, ihi)
+    # the cone is new to this call, so its groups are not kept on X
+    tK = TateGroups(TotalComplex(X, tri.cone, ilo, ihi), ilo, ihi)
     report = ConeReport(m, ilo, ihi)
     for i in range(ilo, ihi + 1):
         lhs = tK.order(i)
@@ -811,11 +823,9 @@ def cone_les_check(X, C: GComplex, m: int, ilo: int = -2,
         proj = _postcompose_map(tK.total, tC.total, tri.projection, i, 1)
         im_inc = induced_map(tC, tK, inc, i, i).image_order()
         im_proj = induced_map(tK, tC, proj, i, i + 1).image_order()
-        composite_zero = True
-        for gi in range(tC.group(i).ngens):
-            vec = proj @ (inc @ tC.representative(i, gi))
-            if any(c != 0 for c in tC.classify(i + 1, vec)):
-                composite_zero = False
+        composite_zero = not any(
+            any(tC.classify(i + 1, proj @ (inc @ tC.representative(i, gi))))
+            for gi in range(tC.group(i).ngens))
         ok = (composite_zero and im_inc == quot
               and im_proj == tors and im_inc * im_proj == lhs)
         report.map_rows.append((i, im_inc, im_proj, ok))

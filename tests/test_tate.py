@@ -39,12 +39,14 @@ from tateform.tate import (
     SubgroupPair,
     SubgroupResolution,
     TotalComplex,
+    _z_groups,
     cone_les_check,
     cup_from_cochain,
     cup_with,
     diagonal_approximation,
     iota_abelianization,
     remark_agreement,
+    restrict_complex,
     tate_hypercohomology,
     tate_nakayama_check,
 )
@@ -316,6 +318,21 @@ class TestRestrictionCorestriction:
                 assert np.array_equal(model.full_diff(q),
                                       explicit.full_diff(q)), (H, q)
             assert validate_complete_resolution(model).passed, H.elements
+            if not H.is_whole_group():
+                continue
+            # the view over G is X relabeled by the identity, so G's side of
+            # a SubgroupPair may read X's own groups and C itself
+            for q in range(-X.window, X.window):
+                assert np.array_equal(model.diff_gen(q), X.diff_gen(q)), q
+            for C in (concentrate(zmodule(G), 2),
+                      concentrate(regular_module(G), 0)):
+                mine = TotalComplex(X, C, -2, 2)
+                view = TotalComplex(model, restrict_complex(C, H), -2, 2)
+                assert view.diff.keys() == mine.diff.keys()
+                for q in mine.diff:
+                    assert np.array_equal(view.diff[q], mine.diff[q]), q
+                for q in mine.rel:
+                    assert np.array_equal(view.rel[q], mine.rel[q]), q
 
 
 class TestCupProducts:
@@ -340,20 +357,37 @@ class TestCupProducts:
     @pytest.mark.parametrize("setup", ["Z6", "S3"])
     def test_one_z_group_over_the_range_gives_the_same_cups(self, setup):
         # a total complex's blocks, differentials and relators at a degree
-        # do not depend on its range, so one Z-coefficient group over
-        # [qlo - 2, qhi - 2] gives every degree the generators of its own
-        G, X = cyclic_setup(6) if setup == "Z6" else s3_setup()
-        C = concentrate(zmodule(G), 2)
-        T = tate_hypercohomology(X, C, -2, 3)
-        a = T.class_at(2, (1,))
-        tz = tate_hypercohomology(X, concentrate(zmodule(G), 0), -4, 1)
-        for q in range(-2, 4):
-            alone = cup_with(X, C, a, q)
-            shared = cup_with(X, C, a, q)
-            assert shared.matrix.tolist() == alone.matrix.tolist()
-            assert shared.source.invariants() == alone.source.invariants()
-        io = iota_abelianization(X)
-        assert io.matrix.tolist() == iota_abelianization(X).matrix.tolist()
+        # do not depend on its range, so the Z group kept over [-4, 1]
+        # gives every degree the generators of a build of that degree alone
+        def fresh():
+            if setup == "Z6":
+                G = make_cyclic(6)
+                X = complete_resolution(resolution_for(G, 6, "periodic"))
+            else:
+                G = symmetric_group(3)
+                X = complete_resolution(resolution_for(G, 5, "peeled"))
+            C = concentrate(zmodule(G), 2)
+            return X, C, tate_hypercohomology(X, C, 2, 2).class_at(2, (1,))
+
+        def cups(X, C, a):
+            return ([cup_with(X, C, a, q) for q in range(-2, 4)],
+                    iota_abelianization(X))
+
+        X1, C1, a1 = fresh()
+        alone, io_alone = cups(X1, C1, a1)
+        X2, C2, a2 = fresh()
+        tate_hypercohomology(X2, C2, -2, 3)
+        _z_groups(X2, -4, 1)
+        shared, io_shared = cups(X2, C2, a2)
+        for p in range(-4, 2):
+            assert (_z_groups(X1, p, p).qlo, _z_groups(X1, p, p).qhi) == (p, p)
+            assert (_z_groups(X2, p, p).qlo, _z_groups(X2, p, p).qhi) == (-4, 1)
+        for q, one, wide in zip(range(-2, 4), alone, shared):
+            assert wide.matrix.tolist() == one.matrix.tolist(), q
+            assert wide.source.invariants() == one.source.invariants(), q
+            assert wide.target.invariants() == one.target.invariants(), q
+        assert io_shared.matrix.tolist() == io_alone.matrix.tolist()
+        assert io_shared.source.invariants() == io_alone.source.invariants()
 
     def test_non_generator_is_not_isomorphism(self):
         G, X = cyclic_setup(4)
