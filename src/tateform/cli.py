@@ -377,9 +377,9 @@ def _run_tate(X, C, analysis) -> dict:
 
 
 def _tate_nakayama(X, C, analysis):
-    """The Tate-Nakayama check of the first canonical generator of H^2."""
+    """The Tate-Nakayama check of the first generator of H^2 over [1, 2]."""
     lo, hi = analysis["range"]
-    t2 = tate_hypercohomology(X, C, 2, 2)
+    t2 = tate_hypercohomology(X, C, 1, 2)
     g2 = t2.group(2)
     coords = () if g2.ngens == 0 else (1,) + (0,) * (g2.ngens - 1)
     return tate_nakayama_check(X, C, t2.class_at(2, coords), lo, hi)

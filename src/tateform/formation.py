@@ -8,13 +8,13 @@ A pair (G, C) is checked against
         under restriction: res(u_U) = u_V whenever V <= U.
 
 There is no canonical invariant map for an abstract formation, so the
-family is chosen as the lexicographically least compatible one; since
-restriction is transitive on the nose for the stored subgroup models, the
-choice of u_G forces the family.  The family is in closed form: for the
-generator u of H^2(G, C) and each of the phi(|G|) generators k u, the
-member at H is k res_H(u), since restriction is linear, so each subgroup
-is restricted once.  Every report carries a flag recording this
-convention.
+family is chosen as the lexicographically least compatible one.  Each
+subgroup's groups are G's with coinduced coefficients, on which
+restriction is transitive on the nose, so the choice of u_G forces the
+family.  It is in closed form: for the generator u of H^2(G, C) and each
+of the phi(|G|) generators k u, the member at H is k res_H(u), since
+restriction is linear, so each subgroup is restricted once.  Every
+report carries a flag recording this convention.
 
 Conjugation by g maps the Tate groups of H isomorphically to those of
 gHg^-1, commutes with restriction from G and is the identity on G's (Brown,
@@ -42,8 +42,9 @@ from .intlinalg import (
     int_list,
     zeros,
 )
-from .tate import (SubgroupPair, TateClass, cup_with, iota_abelianization,
-                   restriction_blocks, subgroup_pair, tate_nakayama_check)
+from .tate import (SubgroupPair, TateClass, TateGroups, cup_with,
+                   iota_abelianization, restriction_blocks,
+                   tate_nakayama_check)
 
 LEX_NOTE = ("generator choice: lexicographically least compatible family "
             "(no canonical inv_H for abstract formations)")
@@ -126,11 +127,11 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
     subs = all_subgroups(G)
     reps = conjugacy_representatives(G, subs)
 
-    def pair(s: Subgroup) -> SubgroupPair:
-        return subgroup_pair(X, C, s, 1, 2)
+    def tate(s: Subgroup) -> TateGroups:
+        return SubgroupPair(X, C, s, 1, 2).tate_H
 
     for s in subs:
-        t = pair(reps[s.elements]).tate_H
+        t = tate(reps[s.elements])
         inv1, inv2 = t.invariants(1), t.invariants(2)
         report.c1_rows.append((s.elements, inv1, inv1 == ()))
         report.c2_rows.append((s.elements, inv2, s.order,
@@ -155,21 +156,20 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
         # both restrict along the pairs through G
         key = (u.elements, v.elements)
         if key not in rmats:
-            rmats[key] = restriction_blocks(pair(u).model, pair(v).model, C,
-                                            pair(u).tate_H.total,
-                                            pair(v).tate_H.total, 2)
+            rmats[key] = restriction_blocks(C, u, v, tate(u).total,
+                                            tate(v).total, 2)
         return rmats[key]
 
     # res_u[H] is res_H(u) in H's coordinates; at G, u itself
     res_u = {whole.elements: (1,) if G.order > 1 else ()}
     for s in subs:
         if not s.is_whole_group():
-            res_u[s.elements] = pair(s).tate_H.classify(2, restriction(
-                whole, s) @ pair(whole).tate_H.representative(2, 0))
+            res_u[s.elements] = tate(s).classify(2, restriction(
+                whole, s) @ tate(whole).representative(2, 0))
     found = []
     for k in _coprime_residues(G.order) or [1]:
         report.candidates_tried += 1
-        trial = {s.elements: pair(s).tate_H.class_at(
+        trial = {s.elements: tate(s).class_at(
             2, [k * c for c in res_u[s.elements]]) for s in subs}
         if all(trial[s.elements].order == s.order for s in subs):
             found.append(trial)
@@ -186,8 +186,8 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
         for v in subs:
             if v.order >= u.order or not set(v.elements) <= set(u.elements):
                 continue
-            cocycle = pair(u).tate_H.element(2, family[u.elements].coords)
-            got = pair(v).tate_H.classify_class(2, restriction(u, v) @ cocycle)
+            cocycle = tate(u).element(2, family[u.elements].coords)
+            got = tate(v).classify_class(2, restriction(u, v) @ cocycle)
             ok = got.coords == family[v.elements].coords
             report.c3_rows.append((u.elements, v.elements, ok))
             if not ok and report.failure is None:
@@ -306,7 +306,7 @@ def norm_group_table(X, C: GComplex, u: TateClass,
     for V in all_subgroups(G):
         if not V.is_normal:
             continue
-        pair = subgroup_pair(X, C, V, 0, 0)
+        pair = SubgroupPair(X, C, V, 0, 0)
         cor_cols = pair.cor_matrix(0)
         quot = cokernel_structure(
             hstack([cor_cols, h0.relations()])).invariants()

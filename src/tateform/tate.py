@@ -11,10 +11,11 @@ coordinates.
 Sign rule (fixed once, audited on every constructed complex): for f of
 total degree q,  D f = d_C o f - (-1)^q f o d_X.
 
-Beyond the groups themselves this module provides restriction and
-corestriction along subgroups, cup products with degree-2 classes realized
-by lifted chain maps, the identification of degree -2 cohomology of Z with
-the abelianization, the Tate-Nakayama hypothesis checker, the multiplication
+Beyond the groups themselves this module provides a subgroup's groups, as
+G's with coinduced coefficients, restriction and corestriction along
+subgroups, cup products with degree-2 classes realized by lifted chain
+maps, the identification of degree -2 cohomology of Z with the
+abelianization, the Tate-Nakayama hypothesis checker, the multiplication
 cone order bookkeeping, and diagonal approximations for cyclic groups.
 """
 
@@ -27,13 +28,14 @@ import numpy as np
 from .classical import cochain_cohomology, h0, h_minus1
 from .errors import LiftingError, ValidationError, WindowError
 from .gcomplexes import GComplex, concentrate, cone_of_mult
-from .gmodules import GModule, regular_module, restrict_module, zmodule
+from .gmodules import GModule, regular_module, zmodule
 from .groups import (
     Subgroup,
     abelianization,
     all_subgroups,
     conjugacy_representatives,
     right_transversal,
+    whole_subgroup,
 )
 from .intlinalg import (
     AbGroup,
@@ -51,11 +53,7 @@ from .intlinalg import (
     preimage_lattice,
     zeros,
 )
-from .resolutions import (
-    CompleteResolution,
-    dual_gen,
-    free_full_matrix,
-)
+from .resolutions import dual_gen, free_full_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +276,10 @@ class TateGroups:
 
 def _kept(X, C: GComplex) -> SimpleNamespace:
     """X._tate[id(C)]: C, held so that its id stays its own while X lives,
-    the Tate groups built for C over the ranges asked, and the SubgroupPairs
-    handed out per (H, range).  X._tate["Z"] is the entry of X's Z complex."""
+    the Tate groups built for C over the ranges asked, and C coinduced from
+    the subgroups asked, by their elements.  X._tate["Z"] is Z's entry."""
     if id(C) not in X._tate:
-        X._tate[id(C)] = SimpleNamespace(C=C, groups=[], pairs={})
+        X._tate[id(C)] = SimpleNamespace(C=C, groups=[], coinduced={})
     return X._tate[id(C)]
 
 
@@ -330,158 +328,101 @@ def remark_agreement(X, M: GModule, qlo: int = -1, qhi: int = 2):
 
 
 # ---------------------------------------------------------------------------
-# subgroup models
+# subgroups, by Shapiro's lemma
 
 
-class SubgroupResolution(CompleteResolution):
-    """A complete resolution X for G, viewed as one for a subgroup H.
-
-    Z[G] restricted to H is free with basis any right transversal of H\\G,
-    so the same Z-matrices serve after a blockwise relabeling of the
-    Z-basis: the G-index (a, sigma) with sigma = h_i g_k becomes the
-    H-index (a t + k, i).  Generator b of the H-model at each degree is the
-    pair (a, k) -> b = a t + k, whose underlying element is (a, g_k).
-    The model is a view of X: rank q is X's times t, and d^q is X's d^q
-    relabeled, built when a degree is first read.  That holds in positive
-    degrees too, where the dual over H is the relabeled dual over G
-    because the relabeling is a permutation of the Z-basis; and the
-    augmentation, constant on each generator's block of |G| = t |H|
-    entries, is X's own row.
-    """
-
-    def __init__(self, X: CompleteResolution, H: Subgroup):
-        # no FreeResolution stands behind the view: zdim and full_diff are
-        # CompleteResolution's, reading rank and diff_gen below
-        G = X.group
-        self.group, embed = H.as_group()
-        self.window = X.window
-        self._full_cache: Dict[int, IntMatrix] = {}
-        self._gen_cache: Dict[int, IntMatrix] = {}
-        self._tate: Dict[object, object] = {}
-        self.parent = X
-        self.subgroup = H
-        self.embed = embed
-        self.transversal = right_transversal(G, H)
-        m = self.group.order
-        local = [-1] * G.order
-        for k, gk in enumerate(self.transversal):
-            for i in range(m):
-                local[G.mul(embed[i], gk)] = k * m + i
-        if any(v < 0 for v in local):
-            raise ValidationError("transversal does not cover the group")
-        self._local = np.asarray(local, dtype=np.intp)
-
-    @property
-    def index(self) -> int:
-        return len(self.transversal)
-
-    @property
-    def eps(self) -> IntMatrix:
-        return self.parent.eps
-
-    def rank(self, q: int) -> int:
-        return self.parent.rank(q) * self.index
-
-    def diff_gen(self, q: int) -> IntMatrix:
-        if q not in self._gen_cache:
-            self._gen_cache[q] = self._relabel(self.parent.diff_gen(q))
-        return self._gen_cache[q]
-
-    def _relabel(self, gen: IntMatrix) -> IntMatrix:
-        """The H-generator matrix of the G-map with generator matrix gen:
-        column a t + k is column a translated by g_k, its rows relabeled
-        into the H-layout."""
-        G = self.parent.group
-        n = G.order
-        t = self.index
-        rows, r = gen.shape
-        out = zeros(rows, r * t)
-        base = np.repeat(np.arange(rows // n) * n, n)
-        for k, gk in enumerate(self.transversal):
-            perm = base + np.tile(
-                self._local[np.asarray(G.table[gk], dtype=np.intp)], rows // n)
-            for a in range(r):
-                out[perm, a * t + k] = gen[:, a]
-        return out
+def _split(G, H: Subgroup) -> List[Tuple[int, int]]:
+    """For each x in G the pair (k, h) with x = h g_k, over the right
+    transversal {g_k} of H in G."""
+    split = [(0, 0)] * G.order
+    for k, gk in enumerate(right_transversal(G, H)):
+        for h in H.elements:
+            split[G.mul(h, gk)] = (k, h)
+    return split
 
 
-def restrict_complex(C: GComplex, H: Subgroup) -> GComplex:
-    """The coefficient complex with every term viewed over the subgroup."""
-    Hgrp, _ = H.as_group()
-    terms = [restrict_module(C.term(j), H) for j in C.degrees()]
-    diffs = [C.diff(j) for j in range(C.lo, C.hi)]
-    return GComplex(Hgrp, C.lo, terms, diffs, name="res(%s)" % C.name)
-
-
-def _locate_in_model(model: SubgroupResolution, sigma: int) -> Tuple[int, int]:
-    """Split a G-element as h * g_k for the model's subgroup: returns
-    (k, parent id of h)."""
-    pos = int(model._local[sigma])
-    m = model.group.order
-    return pos // m, model.embed[pos % m]
-
-
-def restriction_blocks(src: Optional[SubgroupResolution],
-                       dst: SubgroupResolution,
-                       C: GComplex, total_src: TotalComplex,
-                       total_dst: TotalComplex, q: int) -> IntMatrix:
-    """Cochain-level restriction matrix at degree q, from the model of a
-    subgroup U (src; None means U = G) to the model of V <= U (dst).
-
-    A U-cochain is sampled at V-generators: f((a, gV_k)) = h . f((a, gU_j))
-    where gV_k = h gU_j with h in U.  The coefficient block of size
-    t_V g x t_U g is the same for every generator a of X.
-    """
-    tU = 1 if src is None else src.index
-    out = zeros(total_dst.dim[q], total_src.dim[q])
-    for bU, bV in zip(total_src.blocks[q], total_dst.blocks[q]):
-        g = bU.gens
-        M = C.term(bU.j)
-        coeff = zeros(dst.index * g, tU * g)
-        for k, gk in enumerate(dst.transversal):
-            j, h = (0, gk) if src is None else _locate_in_model(src, gk)
-            coeff[k * g:(k + 1) * g, j * g:(j + 1) * g] = M.act(h)
-        _add_per_generator(out, bV, bU, coeff, bU.rank // tU)
+def _placed(M: GModule, split: List[Tuple[int, int]], index: int,
+            elements: Sequence[int]) -> IntMatrix:
+    """Row block k holds M.act(h) in column block i of index blocks, where
+    elements[k] = h g_i by split."""
+    g = M.gens
+    out = zeros(len(elements) * g, index * g)
+    for k, x in enumerate(elements):
+        i, h = split[x]
+        out[k * g:(k + 1) * g, i * g:(i + 1) * g] = M.act(h)
     return out
 
 
-def corestriction_blocks(model: SubgroupResolution, C: GComplex,
-                         total_G: TotalComplex, total_H: TotalComplex,
-                         q: int) -> IntMatrix:
-    """Cochain-level transfer matrix at degree q, from the subgroup model
-    back to the group: (cor f)_a = sum over the right transversal {g_k} of
-    g_k^{-1} . f((a, g_k)), one g x t g coefficient block per generator a
-    of X."""
+def coinduced(C: GComplex, H: Subgroup) -> GComplex:
+    """CoInd_H^G Res_H C over G, and C itself for H = G.  By Shapiro's
+    lemma (Brown, Cohomology of Groups, III.5-III.6 and VI.5) its Tate
+    groups over G are those of C over H.
+
+    A function f with f(h x) = h f(x) is kept by its values f(g_k) on the
+    right transversal, block k of each term, and g acts by
+    (g f)(g_k) = h f(g_k') where g_k g = h g_k'.  On a resolution X,
+    Hom_G(X^s, CoInd C^j) then keeps the value at the element g_k of
+    generator a in block k of generator a.  The terms are built from C's
+    checked terms, whose laws they inherit, so they are not checked again.
+    """
     G = C.group
-    out = zeros(total_G.dim[q], total_H.dim[q])
-    for bG, bH in zip(total_G.blocks[q], total_H.blocks[q]):
-        M = C.term(bG.j)
-        coeff = hstack([M.act(G.inv(gk)) for gk in model.transversal])
-        _add_per_generator(out, bG, bH, coeff, bG.rank)
-    return out
+    if H.parent is not G:
+        raise ValidationError("subgroup belongs to a different group")
+    if H.is_whole_group():
+        return C
+    split, t = _split(G, H), H.index
+    transversal = right_transversal(G, H)
+    terms = [GModule._unchecked(
+        G, block_diag([M.relators] * t),
+        [_placed(M, split, t, [G.mul(gk, x) for gk in transversal])
+         for x in G.elements], "coind(%s)" % M.name)
+        for M in map(C.term, C.degrees())]
+    diffs = [block_diag([C.diff(j)] * t) for j in range(C.lo, C.hi)]
+    return GComplex(G, C.lo, terms, diffs, name="coind(%s)" % C.name)
+
+
+def restriction_blocks(C: GComplex, U: Subgroup, V: Subgroup,
+                       total_U: TotalComplex, total_V: TotalComplex,
+                       q: int) -> IntMatrix:
+    """Cochain-level restriction matrix at degree q, from U's groups to
+    those of V <= U, both on X with coinduced coefficients: the coefficient
+    map CoInd_U C -> CoInd_V C reads a function on V's transversal, so
+    block k takes h . (block i) where gV_k = h gU_i with h in U."""
+    split, gV = _split(C.group, U), right_transversal(C.group, V)
+    comps = {j: _placed(C.term(j), split, U.index, gV) for j in C.degrees()}
+    return _postcompose_map(total_U, total_V, comps, q, 0)
 
 
 class SubgroupPair:
     """Tate groups of a group and one subgroup over a degree range, with
-    the restriction and corestriction maps between them; for H = G the
-    subgroup side is G's own groups and C.  Every degree of the range is
-    computed on both sides, its representatives checked as cocycles."""
+    the restriction and corestriction maps between them.  H's groups are
+    G's with C coinduced from H, kept on X per (C, H); for H = G that is C
+    itself.  Every degree of the range is computed on both sides, its
+    representatives checked as cocycles."""
 
     def __init__(self, X, C: GComplex, H: Subgroup, qlo: int, qhi: int):
         self.C = C
-        self.model = SubgroupResolution(X, H)
-        self.CH = C if H.is_whole_group() else restrict_complex(C, H)
+        self.subgroup = H
+        kept = _kept(X, C).coinduced
+        if H.elements not in kept:
+            kept[H.elements] = coinduced(C, H)
         self.tate_G = tate_hypercohomology(X, C, qlo, qhi)
-        self.tate_H = self.tate_G if H.is_whole_group() else \
-            tate_hypercohomology(self.model, self.CH, qlo, qhi)
+        self.tate_H = tate_hypercohomology(X, kept[H.elements], qlo, qhi)
 
     def res_cochain(self, q: int) -> IntMatrix:
-        return restriction_blocks(None, self.model, self.C,
-                                  self.tate_G.total, self.tate_H.total, q)
+        return restriction_blocks(self.C, whole_subgroup(self.C.group),
+                                  self.subgroup, self.tate_G.total,
+                                  self.tate_H.total, q)
 
     def cor_cochain(self, q: int) -> IntMatrix:
-        return corestriction_blocks(self.model, self.C,
-                                    self.tate_G.total, self.tate_H.total, q)
+        """The transfer, from the coefficient map CoInd_H C -> C sending f
+        to the sum over the right transversal of g_k^{-1} f(g_k)."""
+        G = self.C.group
+        inverses = [G.inv(gk) for gk in right_transversal(G, self.subgroup)]
+        comps = {j: hstack([self.C.term(j).act(x) for x in inverses])
+                 for j in self.C.degrees()}
+        return _postcompose_map(self.tate_H.total, self.tate_G.total, comps,
+                                q, 0)
 
     def res_class(self, x: TateClass) -> TateClass:
         vec = self.tate_G.element(x.degree, x.coords)
@@ -501,16 +442,6 @@ class SubgroupPair:
     def cor_matrix(self, q: int) -> IntMatrix:
         return induced_map(self.tate_H, self.tate_G, self.cor_cochain(q),
                            q, q).matrix
-
-
-def subgroup_pair(X, C: GComplex, H: Subgroup, qlo: int,
-                  qhi: int) -> SubgroupPair:
-    """The SubgroupPair of C and H over [qlo, qhi] kept on X."""
-    pairs = _kept(X, C).pairs
-    key = (H.elements, qlo, qhi)
-    if key not in pairs:
-        pairs[key] = SubgroupPair(X, C, H, qlo, qhi)
-    return pairs[key]
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +666,7 @@ def tate_nakayama_check(X, C: GComplex, a: TateClass,
     subs = all_subgroups(G)
     reps = conjugacy_representatives(G, subs)
     for H in subs:
-        pair = subgroup_pair(X, C, reps[H.elements], 1, 2)
+        pair = SubgroupPair(X, C, reps[H.elements], 1, 2)
         inv1 = pair.tate_H.invariants(1)
         ok1 = inv1 == ()
         report.h1_rows.append((H.elements, inv1, ok1))

@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from tateform.cli import main, parse_scenario, run_scenario, serialize_scenario
+from tateform import scenarios
 from tateform.errors import ParseError
 from tateform.scenarios import bundled_document, bundled_names
 
@@ -149,6 +150,26 @@ class TestGolden:
         with open(os.path.join(GOLDEN_DIR, "z6-every-analysis.%s" % ext)) as fh:
             assert out == fh.read()
 
+    @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt")])
+    def test_every_analysis_on_s3_matches_golden_file(self, tmp_path, fmt,
+                                                      ext):
+        # a nonabelian group whose formation passes with (C3) rows between
+        # proper subgroups, so restriction inside S3 is pinned too
+        doc = {"name": "s3-every-analysis",
+               "group": {"kind": "table", "table": scenarios._S3_TABLE},
+               "coefficients": {"kind": "trivial", "shift": 2},
+               "analyses": [{"kind": "formation"}, {"kind": "norm-table"},
+                            {"kind": "tate-nakayama", "range": [-1, 2]},
+                            {"kind": "cone-les", "m": 2, "range": [-1, 1]},
+                            {"kind": "tate", "range": [-1, 2]}],
+               "options": {"window": 4}}
+        p = tmp_path / "s3-every-analysis.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = invoke(["run", str(p), "--format", fmt])
+        assert (code, err) == (0, "")
+        with open(os.path.join(GOLDEN_DIR, "s3-every-analysis.%s" % ext)) as fh:
+            assert out == fh.read()
+
     def test_three_runs_byte_identical(self):
         outs = {invoke(["demo", "s3-z", "--format", "json"])[1]
                 for _ in range(3)}
@@ -260,6 +281,15 @@ class TestExitCodes:
             assert err == (
                 "computation error: degrees [-2, 3] with coefficient support "
                 "[0, 0] need resolution degrees [-4, 3]; window is [-3, 3]\n")
+
+    def test_tate_nakayama_candidate_window_error_names_its_range(self):
+        # the candidate is read from the hypotheses' groups over [1, 2], so
+        # a window that cannot hold them names that range
+        code, out, err = invoke(["demo", "tn-cyclic-4", "--window", "1"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "computation error: degrees [1, 2] with coefficient support "
+            "[0, 0] need resolution degrees [-3, 0]; window is [-1, 1]\n")
 
     def test_window_too_small_is_computation_error(self):
         code, _, err = invoke(

@@ -1,19 +1,22 @@
-"""Subgroup rows read once per conjugacy class, against the per-subgroup
-loops they replaced.
+"""Subgroup rows read once per conjugacy class, against per-subgroup
+loops on the subgroups' own resolutions.
 
 ``check_class_formation`` reads its (C1) and (C2) rows, and
 ``tate_nakayama_check`` its hypothesis (i) and (ii) rows, from the first
 subgroup of each conjugacy class: conjugation by g is an isomorphism from
 the Tate groups of H to those of gHg^-1 that commutes with restriction
 from G and is the identity on G's.  The reference functions below build
-one SubgroupPair for every subgroup up front, as the earlier code did.
-Both routes must give the same report, ``as_dict()`` for ``as_dict()``,
-on S3, S3 relabeled at three seeds and S4 at window 3, over Z, Z at
-degree 2 and the regular module.  Z at degree 2 passes the formation
-axioms, so (C3) runs there on pairs built on demand.  The references run
-on a second copy of the coefficient complex, so they read none of the
-groups the checks keep on the resolution, and the Tate-Nakayama reference
-builds G's row over G's view of X rather than from X's own groups.
+every subgroup's groups up front, as the earlier code did, and on H's side:
+over X relabeled as a resolution over H, with C restricted to H, and
+restriction placed generator by generator (see ``subgroup_reference``).
+None of it goes through the coinduced complexes the checks read.  Both
+routes must give the same report, ``as_dict()`` for ``as_dict()``, on S3,
+S3 relabeled at three seeds and S4 at window 3, over Z, Z at degree 2 and
+the regular module.  Z at degree 2 passes the formation axioms, so (C3)
+runs there on pairs built on demand.  The references run on a second copy
+of the coefficient complex, so they read none of the groups the checks
+keep on the resolution, and the Tate-Nakayama reference builds G's row
+over G's own relabeled resolution rather than from X's groups.
 """
 
 import pytest
@@ -39,13 +42,19 @@ from tateform.tate import (
     TateNakayamaReport,
     TotalComplex,
     cup_with,
-    restrict_complex,
-    restriction_blocks,
     tate_hypercohomology,
     tate_nakayama_check,
 )
 
+from subgroup_reference import (reference_restriction, restricted,
+                                subgroup_resolution)
 from test_differential import relabel
+
+
+def own_groups(X, C, H):
+    """H's groups over [1, 2] on H's own resolution."""
+    total = TotalComplex(subgroup_resolution(X, H), restricted(C, H), 1, 2)
+    return TateGroups(total, 1, 2)
 
 
 def reference_formation(X, C):
@@ -53,11 +62,11 @@ def reference_formation(X, C):
     report = FormationReport()
     subs = all_subgroups(G)
     ambient = tate_hypercohomology(X, C, 1, 2)
-    pairs = {s.elements: SubgroupPair(X, C, s, 1, 2)
-             for s in subs if not s.is_whole_group()}
+    groups = {s.elements: own_groups(X, C, s)
+              for s in subs if not s.is_whole_group()}
 
     def tate(s):
-        return ambient if s.is_whole_group() else pairs[s.elements].tate_H
+        return ambient if s.is_whole_group() else groups[s.elements]
 
     for s in subs:
         inv1 = tate(s).invariants(1)
@@ -75,9 +84,7 @@ def reference_formation(X, C):
         return report
 
     def restriction(u, v):
-        src = None if u.is_whole_group() else pairs[u.elements].model
-        return restriction_blocks(src, pairs[v.elements].model, C,
-                                  tate(u).total, tate(v).total, 2)
+        return reference_restriction(C, u, v, tate(u).total, tate(v).total, 2)
 
     whole = whole_subgroup(G)
     res_u = {whole.elements: (1,) if G.order > 1 else ()}
@@ -126,16 +133,13 @@ def reference_tate_nakayama(X, C, a, qlo, qhi):
     G = X.group
     report = TateNakayamaReport(a, qlo, qhi)
     ambient = tate_hypercohomology(X, C, 1, 2)
+    whole = whole_subgroup(G)
     for H in all_subgroups(G):
-        pair = SubgroupPair(X, C, H, 1, 2)
-        tate_H, res_a = pair.tate_H, pair.res_class(a)
-        if H.is_whole_group():
-            # G's row over its own view, built apart from X's groups
-            tate_H = TateGroups(
-                TotalComplex(pair.model, restrict_complex(C, H), 1, 2), 1, 2)
-            res = restriction_blocks(None, pair.model, C, ambient.total,
-                                     tate_H.total, 2)
-            res_a = tate_H.classify_class(2, res @ ambient.element(2, a.coords))
+        # G's row too over its own relabeled resolution, apart from X's
+        tate_H = own_groups(X, C, H)
+        res = reference_restriction(C, whole, H, ambient.total,
+                                    tate_H.total, 2)
+        res_a = tate_H.classify_class(2, res @ ambient.element(2, a.coords))
         inv1 = tate_H.invariants(1)
         ok1 = inv1 == ()
         report.h1_rows.append((H.elements, inv1, ok1))

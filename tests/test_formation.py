@@ -34,11 +34,9 @@ from tateform.resolutions import (
     periodic_resolution,
 )
 from tateform.tate import (
-    SubgroupPair,
-    SubgroupResolution,
     TateGroups,
     TotalComplex,
-    restrict_complex,
+    coinduced,
     restriction_blocks,
 )
 
@@ -94,9 +92,7 @@ class TestFormationPass:
         rep = formation_report(n)
         by_elems = dict(rep.generators)
         for s in all_subgroups(G):
-            model = SubgroupResolution(X, s)
-            t = TateGroups(
-                TotalComplex(model, restrict_complex(C, s), 2, 2), 2, 2)
+            t = TateGroups(TotalComplex(X, coinduced(C, s), 2, 2), 2, 2)
             assert t.class_at(2, by_elems[s.elements]).order == s.order
 
     def test_report_flags_conventions(self):
@@ -188,13 +184,11 @@ class TestC3Equivalence:
         subs = all_subgroups(G)
         data = {}
         for s in subs:
-            model = SubgroupResolution(X, s)
-            t = TateGroups(
-                TotalComplex(model, restrict_complex(C, s), 2, 2), 2, 2)
-            data[s.elements] = (model, t)
+            data[s.elements] = TateGroups(
+                TotalComplex(X, coinduced(C, s), 2, 2), 2, 2)
         cands = {}
         for s in subs:
-            grp = data[s.elements][1].group(2)
+            grp = data[s.elements].group(2)
             if grp.ngens == 0:
                 cands[s.elements] = [()]
             else:
@@ -211,9 +205,8 @@ class TestC3Equivalence:
                     if v.order >= u.order or \
                             not set(v.elements) <= set(u.elements):
                         continue
-                    mu, tu = data[u.elements]
-                    mv, tv = data[v.elements]
-                    rmat = restriction_blocks(mu, mv, C, tu.total, tv.total, 2)
+                    tu, tv = data[u.elements], data[v.elements]
+                    rmat = restriction_blocks(C, u, v, tu.total, tv.total, 2)
                     got = tv.classify(2, rmat @ tu.element(2, fam[u.elements]))
                     if tuple(got) != fam[v.elements]:
                         ok = False

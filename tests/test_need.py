@@ -180,6 +180,28 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def test_norm_table_coinduces_each_proper_subgroup_once(monkeypatch):
+    # the formation's [1, 2] and the norm table's [0, 0] for a subgroup read
+    # one coinduced complex kept on X: Z/4 has two proper subgroups
+    made = _counting_coinduced(monkeypatch)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["demo", "unramified-cyclic-4-norm-table"]) == 0
+    assert len(made) == 2
+
+
+def test_tate_nakayama_reads_its_candidate_from_the_hypotheses(monkeypatch):
+    # the candidate class comes from C's groups over [1, 2], the range the
+    # hypotheses read, so X's degree 2 is assembled for [1, 2] and the
+    # conclusion, plus the Z groups and the two proper subgroups of Z/4:
+    # five total complexes, where reading it over [2, 2] made six
+    builds = _counting_builds(monkeypatch)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["demo", "tn-cyclic-4"]) == 0
+    assert [(b[1].name,) + b[2:] for b in builds] == [
+        ("Z[at 0]", 1, 2), ("coind(Z[at 0])", 1, 2), ("coind(Z[at 0])", 1, 2),
+        ("Z[at 0]", -2, 3), ("Z[at 0]", -4, 1)]
+
+
 def test_norm_table_reuses_the_formation_reciprocity_map(monkeypatch):
     calls = _counting(monkeypatch, formation, "reciprocity_map")
     with redirect_stdout(io.StringIO()):
@@ -213,18 +235,36 @@ def _counting_builds(monkeypatch):
     return builds
 
 
-def _subgroup_builds(builds):
-    return [b for b in builds if isinstance(b[0], tate.SubgroupResolution)]
+def _counting_coinduced(monkeypatch):
+    """Every complex coinduced from a proper subgroup."""
+    made = []
+    original = tate.coinduced
+
+    def wrapper(C, H):
+        D = original(C, H)
+        if D is not C:
+            made.append(D)
+        return D
+
+    monkeypatch.setattr(tate, "coinduced", wrapper)
+    return made
+
+
+def _subgroup_builds(builds, made):
+    # a subgroup's groups are G's with coefficients coinduced from it
+    return [b for b in builds if any(b[1] is D for D in made)]
 
 
 def test_formation_models_each_proper_subgroup_once(monkeypatch):
     # G's own groups are X's, so only the five proper subgroups of Z/12
-    # get a total complex over a subgroup model
+    # get a total complex, each over its coinduced complex
     G = groups.make_cyclic(12)
     X = complete_resolution(periodic_resolution(G, 4))
+    made = _counting_coinduced(monkeypatch)
     builds = _counting_builds(monkeypatch)
     assert check_class_formation(X, concentrate(zmodule(G), 0)).passed
-    assert len(_subgroup_builds(builds)) == 5
+    assert len(made) == 5
+    assert len(_subgroup_builds(builds, made)) == 5
 
 
 def _s3_s4(name):
@@ -243,25 +283,27 @@ def test_formation_models_one_subgroup_per_conjugacy_class(
     # classes, S4 has 10.  Z at degree 2 passes them, and (C3) reads every
     # proper subgroup's own groups (S3 has 5)
     G, X = _s3_s4(name)
+    made = _counting_coinduced(monkeypatch)
     builds = _counting_builds(monkeypatch)
     report = check_class_formation(X, concentrate(zmodule(G), degree))
     assert report.passed == (degree == 2)
-    assert len(_subgroup_builds(builds)) == models
+    assert len(_subgroup_builds(builds, made)) == models
 
 
 @pytest.mark.parametrize("name, models", [("S3", 3), ("S4-w3", 10)])
 def test_tate_nakayama_models_one_subgroup_per_conjugacy_class(
         monkeypatch, name, models):
     # hypotheses (i) and (ii) range over every subgroup, G included; G's
-    # row reads X's own groups over [1, 2], the one complex built on X
+    # row reads X's own groups of C over [1, 2], the one build of C
     G, X = _s3_s4(name)
     C = concentrate(zmodule(G), 0)
     a = tate.tate_hypercohomology(X, C, 2, 2).class_at(2, (1,))
+    made = _counting_coinduced(monkeypatch)
     builds = _counting_builds(monkeypatch)
     report = tate.tate_nakayama_check(X, C, a, 1, 0)
     assert len(report.h1_rows) == len(groups.all_subgroups(G))
-    assert len(_subgroup_builds(builds)) == models
-    assert [b[2:] for b in builds if b[0] is X] == [(1, 2)]
+    assert len(_subgroup_builds(builds, made)) == models
+    assert [b[2:] for b in builds if b[1] is C] == [(1, 2)]
 
 
 def test_a_formation_scenario_enumerates_subgroups_once(monkeypatch):
@@ -281,8 +323,10 @@ def test_a_formation_scenario_enumerates_subgroups_once(monkeypatch):
 
 
 def _z_builds(builds, X, C):
-    # Z-coefficient complexes on X, told apart from C's by the object
-    return [b[2:] for b in builds if b[0] is X and b[1] is not C]
+    # Z-coefficient complexes on X, told apart from C's by the object and
+    # from the coinduced ones by the name
+    return [b[2:] for b in builds
+            if b[0] is X and b[1] is not C and b[1].name == "Z[at 0]"]
 
 
 def test_tate_nakayama_builds_the_z_groups_once(monkeypatch):
@@ -375,13 +419,16 @@ def test_norm_table_reads_g_and_its_groups_from_the_formation(monkeypatch):
     G = groups.make_cyclic(12)
     X = complete_resolution(periodic_resolution(G, 4))
     C = concentrate(zmodule(G), 0)
+    made = _counting_coinduced(monkeypatch)
     report = check_class_formation(X, C)
     builds = _counting_builds(monkeypatch)
     table = formation.norm_group_table(X, C, report.fundamental,
                                        report.reciprocity)
     assert table.passed and len(table.rows) == 6
     assert [b[2:] for b in builds] == [(0, 0)] * 5
-    assert len(_subgroup_builds(builds)) == 5
+    assert len(_subgroup_builds(builds, made)) == 5
+    # the norm table's [0, 0] reads the formation's coinduced complexes
+    assert len(made) == 5
 
 
 C2 = groups.make_cyclic(2)

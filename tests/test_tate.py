@@ -21,6 +21,7 @@ from tateform.groups import (
     all_subgroups,
     direct_product,
     make_cyclic,
+    right_transversal,
     subgroup,
     symmetric_group,
     trivial_subgroup,
@@ -28,7 +29,6 @@ from tateform.groups import (
 )
 from tateform.intlinalg import intmat
 from tateform.resolutions import (
-    FreeResolution,
     complete_resolution,
     free_full_matrix,
     resolution_for,
@@ -37,19 +37,20 @@ from tateform.resolutions import (
 from tateform.tate import (
     ShiftLift,
     SubgroupPair,
-    SubgroupResolution,
     TotalComplex,
     _z_groups,
+    coinduced,
     cone_les_check,
     cup_from_cochain,
     cup_with,
     diagonal_approximation,
     iota_abelianization,
     remark_agreement,
-    restrict_complex,
     tate_hypercohomology,
     tate_nakayama_check,
 )
+
+from subgroup_reference import restricted, subgroup_resolution
 
 _cache = {}
 
@@ -276,63 +277,51 @@ class TestRestrictionCorestriction:
         G, X = cyclic_setup(4)
         M = trivial_cyclic(G, 9)
         C = concentrate(M, 0)
-        pair = SubgroupPair(X, C, trivial_subgroup(G), 0, 0)
+        H = trivial_subgroup(G)
+        pair = SubgroupPair(X, C, H, 0, 0)
         cmat = pair.cor_cochain(0)
         g = M.gens
-        for k, gk in enumerate(pair.model.transversal):
+        for k, gk in enumerate(right_transversal(G, H)):
             blk = cmat[:, k * g:(k + 1) * g]
             assert np.array_equal(blk, M.act(G.inv(gk)))
 
     def test_subgroup_model_is_byte_identical_for_whole_group(self):
+        # G coinduced from itself is C, so G's side of a SubgroupPair and
+        # its H side are X's own groups of C
         G, X = cyclic_setup(4)
-        model = SubgroupResolution(X, whole_subgroup(G))
-        for q in (-2, -1, 0, 1):
-            assert np.array_equal(model.diff_gen(q), X.diff_gen(q))
+        C = concentrate(zmodule(G), 0)
+        assert coinduced(C, whole_subgroup(G)) is C
+        pair = SubgroupPair(X, C, whole_subgroup(G), -2, 1)
+        assert pair.tate_H is pair.tate_G
+        assert pair.tate_G is tate_hypercohomology(X, C, -2, 1)
 
     @pytest.mark.parametrize("setup", [s3_setup, klein_setup,
                                        lambda: cyclic_setup(6)],
                              ids=["S3", "C2xC2", "Z6"])
     def test_subgroup_model_relabels_every_degree(self, setup):
-        # the view against an explicit model: X's free resolution relabeled
-        # into a FreeResolution over H, whose positive half is the dual
-        # over H and whose degree-0 map is built from its own augmentation;
-        # and the view passes the exactness audit at every degree
+        # H's total complex on X with coinduced coefficients against the
+        # one over H's own resolution, X relabeled into a FreeResolution
+        # over H with C restricted by restrict_module: the same matrices
+        # at every degree, so the same generators and coordinates; and
+        # H's resolution passes the exactness audit at every degree
         G, X = setup()
-        res = X.res
         for H in all_subgroups(G):
-            model = SubgroupResolution(X, H)
-            Hgrp, _ = H.as_group()
-            dgens = [None] + [model._relabel(res.d_gen(i))
-                              for i in range(1, len(res.ranks))]
-            aug = np.full((1, res.ranks[0] * G.order), 1, dtype=object)
-            explicit = complete_resolution(FreeResolution(
-                Hgrp, [r * H.index for r in res.ranks], dgens, aug,
-                res.engine))
-            assert model.group is Hgrp
-            assert model.window == explicit.window == X.window
-            assert np.array_equal(model.eps, explicit.eps)
+            Y = subgroup_resolution(X, H)
+            assert Y.group is H.as_group()[0]
+            assert Y.window == X.window
             for q in range(-X.window, X.window):
-                assert model.rank(q) == explicit.rank(q) == X.rank(q) * H.index
-                assert np.array_equal(model.diff_gen(q),
-                                      explicit.diff_gen(q)), (H, q)
-                assert np.array_equal(model.full_diff(q),
-                                      explicit.full_diff(q)), (H, q)
-            assert validate_complete_resolution(model).passed, H.elements
-            if not H.is_whole_group():
-                continue
-            # the view over G is X relabeled by the identity, so G's side of
-            # a SubgroupPair may read X's own groups and C itself
-            for q in range(-X.window, X.window):
-                assert np.array_equal(model.diff_gen(q), X.diff_gen(q)), q
-            for C in (concentrate(zmodule(G), 2),
+                assert Y.rank(q) == X.rank(q) * H.index
+            assert validate_complete_resolution(Y).passed, H.elements
+            for C in (concentrate(zmodule(G), 0), concentrate(zmodule(G), 2),
                       concentrate(regular_module(G), 0)):
-                mine = TotalComplex(X, C, -2, 2)
-                view = TotalComplex(model, restrict_complex(C, H), -2, 2)
-                assert view.diff.keys() == mine.diff.keys()
+                mine = TotalComplex(X, coinduced(C, H), -2, 2)
+                theirs = TotalComplex(Y, restricted(C, H), -2, 2)
+                assert mine.diff.keys() == theirs.diff.keys()
                 for q in mine.diff:
-                    assert np.array_equal(view.diff[q], mine.diff[q]), q
+                    assert np.array_equal(mine.diff[q], theirs.diff[q]), q
+                assert mine.rel.keys() == theirs.rel.keys()
                 for q in mine.rel:
-                    assert np.array_equal(view.rel[q], mine.rel[q]), q
+                    assert np.array_equal(mine.rel[q], theirs.rel[q]), q
 
 
 class TestCupProducts:
@@ -432,9 +421,10 @@ class TestCupProducts:
         a = T.class_at(2, (1,))
         pair2 = SubgroupPair(X, C, H, 2, 2)
         res_a = pair2.res_class(a)
-        model = pair2.model
-        CH = pair2.CH
-        TH = tate_hypercohomology(model, CH, -2, 3)
+        # cups over H on H's own resolution: its groups carry the same
+        # coordinates as the coinduced ones that res_a is read in
+        model = subgroup_resolution(X, H)
+        CH = restricted(C, H)
         for q in (0, 2):
             cupG = cup_with(X, C, a, q)
             pairq = SubgroupPair(X, C, H, q, q)
