@@ -52,17 +52,6 @@ class GModule:
         self.gens = relators.shape[0]
         self._validate()
 
-    @classmethod
-    def _unchecked(cls, group: FiniteGroup, relators: IntMatrix,
-                   action: Sequence[IntMatrix], name: str) -> GModule:
-        """A module whose laws follow from those of modules already
-        checked, built without checking them again; only coinduction
-        (tate.coinduced) builds one."""
-        M = cls.__new__(cls)
-        M.group, M.relators, M.action = group, relators, tuple(action)
-        M.name, M.gens = name, relators.shape[0]
-        return M
-
     def _validate(self):
         n = self.group.order
         if len(self.action) != n:
@@ -97,6 +86,12 @@ class GModule:
 
     def act(self, g: int) -> IntMatrix:
         return self.action[g]
+
+    def act_blocks(self, g: int) -> list:
+        """act(g) as (row, column, matrix) blocks, offsets in coordinates,
+        covering its nonzero entries: one block here, one per coset on a
+        coinduced module (tate.coinduced)."""
+        return [(0, 0, self.action[g])]
 
     @property
     def is_zero(self) -> bool:

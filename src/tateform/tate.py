@@ -155,13 +155,15 @@ class TotalComplex:
             tgt = dst_by_j.get(b.j)
             if tgt is not None and tgt.gens:
                 dgen = self.X.diff_gen(b.s - 1)
-                acts = [self.C.term(b.j).act(t) for t in range(n)]
+                acts = [self.C.term(b.j).act_blocks(t) for t in range(n)]
                 g = b.gens
                 for row, col in zip(*np.nonzero(dgen)):
                     a, tau = divmod(int(row), n)
-                    val = dgen[row, col]
-                    D[tgt.offset + col * g:tgt.offset + (col + 1) * g,
-                      b.offset + a * g:b.offset + (a + 1) * g] += hsign * val * acts[tau]
+                    val = hsign * dgen[row, col]
+                    r0, c0 = tgt.offset + col * g, b.offset + a * g
+                    for r, c, A in acts[tau]:
+                        D[r0 + r:r0 + r + A.shape[0],
+                          c0 + c:c0 + c + A.shape[1]] += val * A
         return D
 
     def _audit(self) -> None:
@@ -341,16 +343,48 @@ def _split(G, H: Subgroup) -> List[Tuple[int, int]]:
     return split
 
 
-def _placed(M: GModule, split: List[Tuple[int, int]], index: int,
-            elements: Sequence[int]) -> IntMatrix:
-    """Row block k holds M.act(h) in column block i of index blocks, where
-    elements[k] = h g_i by split."""
+def _placed(M: GModule, pairs: Sequence[Tuple[int, int]],
+            index: int) -> IntMatrix:
+    """Row block k holds M.act(h) in column block i of index blocks, for
+    (i, h) = pairs[k]."""
     g = M.gens
-    out = zeros(len(elements) * g, index * g)
-    for k, x in enumerate(elements):
-        i, h = split[x]
+    out = zeros(len(pairs) * g, index * g)
+    for k, (i, h) in enumerate(pairs):
         out[k * g:(k + 1) * g, i * g:(i + 1) * g] = M.act(h)
     return out
+
+
+class _CoinducedModule(GModule):
+    """A term CoInd_H^G Res_H M, |G:H| blocks of M, whose action is kept
+    as the pairs (i, h) with g_k x = h g_i, one per block k: the total
+    complex places M.act(h) blocks, and act lays a matrix out when asked.
+    The laws follow from M's, which were checked, so they are not checked
+    again."""
+
+    def __init__(self, M: GModule, split: list, transversal: list):
+        G, t = M.group, len(transversal)
+        self.group, self.base, self.name = G, M, "coind(%s)" % M.name
+        self.relators, self.gens = block_diag([M.relators] * t), M.gens * t
+        self._pairs = [[split[G.mul(gk, x)] for gk in transversal]
+                       for x in G.elements]
+
+    @property
+    def action(self) -> tuple:
+        return tuple(map(self.act, self.group.elements))
+
+    def act(self, g: int) -> IntMatrix:
+        return _placed(self.base, self._pairs[g], len(self._pairs[g]))
+
+    def act_blocks(self, g: int) -> list:
+        m = self.base.gens
+        return [(k * m, i * m, self.base.act(h))
+                for k, (i, h) in enumerate(self._pairs[g])]
+
+
+class _CoinducedComplex(GComplex):
+    def _validate(self):
+        """Equivariance and d o d follow from C's, which were checked;
+        checking them again would multiply |G:H|-fold matrices over G."""
 
 
 def coinduced(C: GComplex, H: Subgroup) -> GComplex:
@@ -363,22 +397,20 @@ def coinduced(C: GComplex, H: Subgroup) -> GComplex:
     (g f)(g_k) = h f(g_k') where g_k g = h g_k'.  On a resolution X,
     Hom_G(X^s, CoInd C^j) then keeps the value at the element g_k of
     generator a in block k of generator a.  The terms are built from C's
-    checked terms, whose laws they inherit, so they are not checked again.
+    checked terms, whose laws they inherit, so neither they nor the
+    complex are checked again.
     """
     G = C.group
     if H.parent is not G:
         raise ValidationError("subgroup belongs to a different group")
     if H.is_whole_group():
         return C
-    split, t = _split(G, H), H.index
-    transversal = right_transversal(G, H)
-    terms = [GModule._unchecked(
-        G, block_diag([M.relators] * t),
-        [_placed(M, split, t, [G.mul(gk, x) for gk in transversal])
-         for x in G.elements], "coind(%s)" % M.name)
-        for M in map(C.term, C.degrees())]
-    diffs = [block_diag([C.diff(j)] * t) for j in range(C.lo, C.hi)]
-    return GComplex(G, C.lo, terms, diffs, name="coind(%s)" % C.name)
+    split, transversal = _split(G, H), right_transversal(G, H)
+    terms = [_CoinducedModule(C.term(j), split, transversal)
+             for j in C.degrees()]
+    diffs = [block_diag([C.diff(j)] * H.index) for j in range(C.lo, C.hi)]
+    return _CoinducedComplex(G, C.lo, terms, diffs,
+                             name="coind(%s)" % C.name)
 
 
 def restriction_blocks(C: GComplex, U: Subgroup, V: Subgroup,
@@ -388,8 +420,9 @@ def restriction_blocks(C: GComplex, U: Subgroup, V: Subgroup,
     those of V <= U, both on X with coinduced coefficients: the coefficient
     map CoInd_U C -> CoInd_V C reads a function on V's transversal, so
     block k takes h . (block i) where gV_k = h gU_i with h in U."""
-    split, gV = _split(C.group, U), right_transversal(C.group, V)
-    comps = {j: _placed(C.term(j), split, U.index, gV) for j in C.degrees()}
+    split = _split(C.group, U)
+    pairs = [split[x] for x in right_transversal(C.group, V)]
+    comps = {j: _placed(C.term(j), pairs, U.index) for j in C.degrees()}
     return _postcompose_map(total_U, total_V, comps, q, 0)
 
 

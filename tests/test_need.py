@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tateform import cli, formation, groups, intlinalg, resolutions, tate
+from tateform import (cli, formation, groups, intlinalg, resolutions,
+                      scenarios, tate)
 from tateform.formation import check_class_formation
 from tateform.gmodules import zmodule
 from tateform.gcomplexes import concentrate
@@ -267,6 +268,23 @@ def test_formation_models_each_proper_subgroup_once(monkeypatch):
     assert len(_subgroup_builds(builds, made)) == 5
 
 
+def test_no_analysis_lays_out_a_coinduced_action(monkeypatch):
+    # a coinduced term keeps each element's action as |G:H| blocks of C's;
+    # the total complexes, restriction and corestriction read those blocks
+    # and never the |G:H|-fold matrix (S3 and Z at degree 2 pass every
+    # analysis, so every subgroup and nested pair is read)
+    laid_out = _counting(monkeypatch, tate._CoinducedModule, "act")
+    doc = {"name": "s3-z2",
+           "group": {"kind": "table", "table": scenarios._S3_TABLE},
+           "coefficients": {"kind": "trivial", "shift": 2},
+           "analyses": [{"kind": "formation"}, {"kind": "norm-table"},
+                        {"kind": "tate-nakayama"}]}
+    report = cli.run_scenario(cli.parse_scenario(doc))
+    assert [r.get("verdict") for r in report["results"]] == [
+        "PASS", "ok", "PASS"]
+    assert laid_out == []
+
+
 def _s3_s4(name):
     if name == "S4-w3":
         G = groups.symmetric_group(4)
@@ -303,7 +321,8 @@ def test_tate_nakayama_models_one_subgroup_per_conjugacy_class(
     report = tate.tate_nakayama_check(X, C, a, 1, 0)
     assert len(report.h1_rows) == len(groups.all_subgroups(G))
     assert len(_subgroup_builds(builds, made)) == models
-    assert [b[2:] for b in builds if b[1] is C] == [(1, 2)]
+    assert [b[2:] for b in builds if b[0] is X and
+            not any(b[1] is D for D in made)] == [(1, 2)]
 
 
 def test_a_formation_scenario_enumerates_subgroups_once(monkeypatch):
@@ -322,11 +341,11 @@ def test_a_formation_scenario_enumerates_subgroups_once(monkeypatch):
     assert len(calls) == 133
 
 
-def _z_builds(builds, X, C):
-    # Z-coefficient complexes on X, told apart from C's by the object and
-    # from the coinduced ones by the name
-    return [b[2:] for b in builds
-            if b[0] is X and b[1] is not C and b[1].name == "Z[at 0]"]
+def _z_builds(builds, X, C, made):
+    # Z-coefficient complexes on X, told apart from C's and from the
+    # coinduced ones by the object
+    return [b[2:] for b in builds if b[0] is X and b[1] is not C
+            and not any(b[1] is D for D in made)]
 
 
 def test_tate_nakayama_builds_the_z_groups_once(monkeypatch):
@@ -336,9 +355,10 @@ def test_tate_nakayama_builds_the_z_groups_once(monkeypatch):
     X = complete_resolution(periodic_resolution(G, 6))
     C = concentrate(zmodule(G), 0)
     a = tate.tate_hypercohomology(X, C, 2, 2).class_at(2, (1,))
+    made = _counting_coinduced(monkeypatch)
     builds = _counting_builds(monkeypatch)
     assert tate.tate_nakayama_check(X, C, a, -2, 3).verdict == "PASS"
-    assert _z_builds(builds, X, C) == [(-4, 1)]
+    assert _z_builds(builds, X, C, made) == [(-4, 1)]
 
 
 def test_reciprocity_map_builds_the_z_groups_once(monkeypatch):
@@ -347,6 +367,7 @@ def test_reciprocity_map_builds_the_z_groups_once(monkeypatch):
     G = groups.make_cyclic(6)
     X = complete_resolution(periodic_resolution(G, 6))
     C = concentrate(zmodule(G), 0)
+    made = _counting_coinduced(monkeypatch)
     report = check_class_formation(X, C)
     fresh = complete_resolution(periodic_resolution(G, 6))
     builds = _counting_builds(monkeypatch)
@@ -354,8 +375,8 @@ def test_reciprocity_map_builds_the_z_groups_once(monkeypatch):
         rec = formation.reciprocity_map(Y, C, report.fundamental)
         assert rec.verdict
         assert rec.matrix.tolist() == report.reciprocity_matrix.tolist()
-    assert _z_builds(builds, fresh, C) == [(-2, -2)]
-    assert _z_builds(builds, X, C) == []
+    assert _z_builds(builds, fresh, C, made) == [(-2, -2)]
+    assert _z_builds(builds, X, C, made) == []
 
 
 @pytest.mark.parametrize("n", [12, 24])
