@@ -25,7 +25,7 @@ def h0(M: GModule) -> AbGroup:
     """Fixed points modulo the image of the norm."""
     fixed = fixed_points_subquotient(M)
     den = hstack([norm_endomorphism(M), M.relators])
-    return Subquotient(fixed.numerator_basis, den).group
+    return Subquotient(fixed.numerator, den).group
 
 
 def h_minus1(M: GModule) -> AbGroup:

@@ -232,7 +232,7 @@ def fixed_points_subquotient(M: GModule) -> Subquotient:
         blocks_a.append(M.act(g) - eye(M.gens))
         blocks_r.append(M.relators)
     if not blocks_a:
-        fixed = eye(M.gens)
+        fixed = LatticeSolver(eye(M.gens))
     else:
         stacked_a = vstack(blocks_a)
         stacked_r = zeros(stacked_a.shape[0], 0)

@@ -31,10 +31,12 @@ The Smith normal form here uses the minimal-absolute-value pivot with a
 fixed (row, column) tie-break, which keeps intermediate entries small at
 the sizes this package works at and makes every result reproducible bit
 for bit.  It carries only the transforms its caller names in ``need``
-(``kernel_basis`` reads V, ``lattice_basis`` U^-1, ``cokernel_structure``
-U and U^-1, ``LatticeSolver`` U and V); the others come back as 0 x 0
-arrays.  The pivot sequence does not depend on ``need``, so a carried
-transform is the same matrix whatever else is carried.
+(``kernel_basis`` reads V, ``cokernel_structure`` and ``lattice_basis`` U
+and U^-1, a ``LatticeSolver`` that factors its own matrix U and V); the
+others come back as 0 x 0 arrays.  ``lattice_basis`` is the one reader of
+its basis and its solves, so each lattice is eliminated once.  The pivot
+sequence does not depend on ``need``, so a carried transform is the same
+matrix whatever else is carried.
 
 ``LatticeSolver.solve`` is the package's one integer solve.  It answers a
 vector or a whole matrix of right-hand sides in one pass through a cached
@@ -503,22 +505,24 @@ def _det(rows: list[list[int]]) -> int:
 class LatticeSolver:
     """Cached SNF of a matrix A, answering integer solvability questions.
 
-    Treats A's columns as generators of a sublattice of Z^m.  ``solve``
-    answers A x = b for a vector or A X = B for a whole matrix in one
-    pass through the factorization U A V = S: c = U b, one divisibility
-    test on the first r = rank rows, one zero test on the rest, and
+    Treats the columns of A (``matrix``) as generators of a sublattice of
+    Z^m.  ``solve`` answers A x = b for a vector or A X = B for a whole
+    matrix in one pass through U A V = S: c = U b, one divisibility test
+    on the first r = rank rows, one zero test on the rest, and
     x = V[:, :r] (c[:r] / d).  ``snf``, when given, is an elimination of A
-    already at hand that carries at least ``u`` and ``v``; otherwise A is
-    factored here.  U and V are used as the elimination returned them,
-    int64 or object, through ``matmul``, so a solve answers in Python ints.
+    at hand carrying ``u`` and ``v``, or one carrying ``u`` without ``v``
+    whose U gives U A = [D; 0] (``lattice_basis``), read with V = 1;
+    otherwise A is factored here.  U and V are used as the elimination returned them, int64 or
+    object, through ``matmul``, so a solve answers in Python ints.
     """
 
     def __init__(self, a: IntMatrix, snf: Optional[SnfResult] = None):
+        self.matrix = a
         self.snf = snf if snf is not None else smith_normal_form(a, need="u v")
         r = self.snf.rank
         self._d = np.array(self.snf.diagonal[:r], dtype=object)
         self._u = self.snf.u
-        self._v = self.snf.v[:, :r]
+        self._v = self.snf.v[:, :r] if self.snf.v.size else None
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
         """The integer x with A x = b, column by column when b is a matrix
@@ -526,13 +530,14 @@ class LatticeSolver:
         has no integer solution.  A matrix with no columns is answered
         without touching the factorization."""
         if b.ndim == 2 and b.shape[1] == 0:
-            return zeros(len(self._v), 0)
+            return zeros(self.matrix.shape[1], 0)
         c = matmul(self._u, b)
         d = self._d if b.ndim == 1 else self._d[:, None]
         r = len(d)
         if np.count_nonzero(c[:r] % d) or np.count_nonzero(c[r:]):
             return None
-        return matmul(self._v, c[:r] // d)
+        x = c[:r] // d
+        return x if self._v is None else matmul(self._v, x)
 
     def contains(self, b: np.ndarray) -> bool:
         """Whether b (every column of b, for a matrix) lies in the lattice."""
@@ -558,19 +563,17 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return snf.v[:, snf.rank :].astype(object, copy=False)
 
 
-def lattice_basis(gens: IntMatrix) -> IntMatrix:
-    """A basis (independent columns) for the lattice spanned by ``gens``."""
-    if gens.shape[1] == 0:
-        return zeros(gens.shape[0], 0)
-    return span_basis(smith_normal_form(gens, need="u_inv"))
-
-
-def span_basis(snf: SnfResult) -> IntMatrix:
-    """The lattice basis U^-1 * diagonal read off an elimination of the
-    generators that carries ``u_inv``; the product with the object
-    diagonal holds Python ints whatever the storage of U^-1."""
+def lattice_basis(gens: IntMatrix) -> LatticeSolver:
+    """The lattice spanned by the columns of ``gens``, as a solver over a
+    basis of it.  Its ``matrix`` is U^-1[:, :r] D, read off the one
+    elimination U gens V = S, which carries ``u u_inv``; the product with
+    the object diagonal holds Python ints whatever the storage of U^-1.
+    U carries that basis to [D; 0], so a solve reads each member's unique
+    coordinates (U b)[:r] / D without eliminating the basis again."""
+    snf = smith_normal_form(gens, need="u u_inv")
     r = snf.rank
-    return snf.u_inv[:, :r] * np.array(snf.diagonal[:r], dtype=object)
+    basis = snf.u_inv[:, :r] * np.array(snf.diagonal[:r], dtype=object)
+    return LatticeSolver(basis, snf)
 
 
 def solve(a: IntMatrix, b: np.ndarray) -> Optional[np.ndarray]:
@@ -578,12 +581,10 @@ def solve(a: IntMatrix, b: np.ndarray) -> Optional[np.ndarray]:
     return LatticeSolver(a).solve(b)
 
 
-def preimage_lattice(a: IntMatrix, r: IntMatrix) -> IntMatrix:
-    """Basis of the lattice {x : A x lies in the column span of R}.
-
-    Computed as the x-projection of the kernel of [A | -R], with
-    dependencies removed.
-    """
+def preimage_lattice(a: IntMatrix, r: IntMatrix) -> LatticeSolver:
+    """The lattice {x : A x lies in the column span of R}, as
+    ``lattice_basis`` returns it: the x-projection of the kernel of
+    [A | -R], with dependencies removed."""
     nx = a.shape[1]
     k = kernel_basis(hstack([a, -r]))
     return lattice_basis(k[:nx, :])
@@ -750,24 +751,20 @@ class Subquotient:
     """ker/im structure inside an ambient Z^g, possibly modulo relators.
 
     numerator: the lattice K = {x : d_out x lies in the target relator
-    span}.  denominator: im(d_in) + relator span.  ``group`` carries the
-    invariant factors; ``representative(i)`` lifts canonical generator i to
-    an ambient vector, and ``classify(x)`` sends any ambient x in K to
-    canonical coordinates.
+    span}, as a ``LatticeSolver`` over a basis of K (``lattice_basis`` and
+    ``preimage_lattice`` return one).  denominator: im(d_in) + relator
+    span.  ``group`` carries the invariant factors; ``representative(i)``
+    lifts canonical generator i to an ambient vector, and ``classify(x)``
+    sends any ambient x in K to canonical coordinates.
     """
 
-    def __init__(self, numerator_basis: IntMatrix, denominator: IntMatrix):
-        self.numerator_basis = numerator_basis
-        self._num_solver = LatticeSolver(numerator_basis)
-        w = self._num_solver.solve(denominator)
+    def __init__(self, numerator: LatticeSolver, denominator: IntMatrix):
+        self.numerator = numerator
+        w = numerator.solve(denominator)
         if w is None:
             raise ExactnessError("denominator does not lie in the numerator lattice")
         coker = cokernel_structure(w)
-        reps = (
-            matmul(numerator_basis, coker.basis_lift)
-            if coker.ngens
-            else zeros(numerator_basis.shape[0], 0)
-        )
+        reps = matmul(numerator.matrix, coker.basis_lift)
         self.group = AbGroup(coker.free_rank, coker.torsion, reps)
         self._coker = coker
 
@@ -775,13 +772,10 @@ class Subquotient:
         return self.group.basis_lift[:, i]
 
     def classify(self, x: np.ndarray) -> tuple[int, ...]:
-        w = self._num_solver.solve(x)
+        w = self.numerator.solve(x)
         if w is None:
             raise ValueError("vector is not in the numerator lattice")
         return self._coker.classify(w)
-
-    def contains_ambient(self, x: np.ndarray) -> bool:
-        return self._num_solver.contains(x)
 
 
 def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbGroup:
@@ -797,9 +791,4 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbGroup:
         )
     if not is_zero(matmul(d_out, d_in)):
         raise ExactnessError("d_out @ d_in != 0")
-    return homology_subquotient(d_in, d_out).group
-
-
-def homology_subquotient(d_in: IntMatrix, d_out: IntMatrix) -> Subquotient:
-    ker = kernel_basis(d_out)
-    return Subquotient(ker, d_in)
+    return Subquotient(LatticeSolver(kernel_basis(d_out)), d_in).group

@@ -23,9 +23,9 @@ from .intlinalg import (
     hstack,
     is_zero,
     kernel_basis,
+    lattice_basis,
     matmul,
     smith_normal_form,
-    span_basis,
     zeros,
 )
 
@@ -211,20 +211,17 @@ def peeled_resolution(G: FiniteGroup, length: int) -> FreeResolution:
     prev_rank = 1
     for i in range(1, length + 1):
         chosen: List[IntMatrix] = []
-        span: Optional[IntMatrix] = None
-        solver: Optional[LatticeSolver] = None
+        span: Optional[LatticeSolver] = None
         for j in range(kernel.shape[1]):
             v = kernel[:, j:j + 1]
-            if solver is not None and solver.solve(v[:, 0]) is not None:
+            if span is not None and span.contains(v[:, 0]):
                 continue
             chosen.append(v)
             orbit = free_full_matrix(G, prev_rank, v)
-            gens = orbit if span is None else hstack([span, orbit])
-            # one elimination gives both the new basis and the solver;
-            # membership does not depend on which generators span the lattice
-            snf = smith_normal_form(gens, need="u u_inv v")
-            span = span_basis(snf)
-            solver = LatticeSolver(gens, snf)
+            # membership does not depend on which generators span the
+            # lattice, so the last span's basis stands in for its orbits
+            span = lattice_basis(orbit if span is None
+                                 else hstack([span.matrix, orbit]))
         r = max(len(chosen), 1)
         if r > PEEL_RANK_CAP:
             raise CapExceeded("peeled rank %d exceeds cap %d" % (r, PEEL_RANK_CAP))

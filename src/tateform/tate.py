@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .classical import cochain_cohomology, h0, h_minus1
-from .errors import LiftingError, ValidationError, WindowError
+from .errors import CapExceeded, LiftingError, ValidationError, WindowError
 from .gcomplexes import GComplex, concentrate, cone_of_mult
 from .gmodules import GModule, regular_module, zmodule
 from .groups import (
@@ -58,6 +58,10 @@ from .resolutions import dual_gen, free_full_matrix
 
 # ---------------------------------------------------------------------------
 # total complex
+
+# Widest total-complex degree built, in Z-coordinates, checked before any
+# matrix is; the tests and benchmark cases reach 1296 (bar Z/6, window 4).
+TOTAL_DIM_CAP = 1536
 
 
 class HomBlock:
@@ -119,8 +123,6 @@ class TotalComplex:
         self.qhi = qhi
         self.blocks: Dict[int, List[HomBlock]] = {}
         self.dim: Dict[int, int] = {}
-        self.rel: Dict[int, IntMatrix] = {}
-        self._rel_solvers: Dict[int, LatticeSolver] = {}
         for q in range(qlo - 1, qhi + 2):
             blocks = []
             offset = 0
@@ -128,11 +130,17 @@ class TotalComplex:
                 blk = HomBlock(j, j - q, X.rank(j - q), C.term(j).gens, offset)
                 blocks.append(blk)
                 offset += blk.dim
+            if offset > TOTAL_DIM_CAP:
+                raise CapExceeded(
+                    "total complex degree %d has dimension %d, cap is %d"
+                    % (q, offset, TOTAL_DIM_CAP))
             self.blocks[q] = blocks
             self.dim[q] = offset
-            self.rel[q] = block_diag(
-                [block_diag([C.term(b.j).relators] * b.rank) for b in blocks]
-            ) if blocks else zeros(0, 0)
+        self.rel: Dict[int, IntMatrix] = {
+            q: block_diag([block_diag([C.term(b.j).relators] * b.rank)
+                           for b in blocks]) if blocks else zeros(0, 0)
+            for q, blocks in self.blocks.items()}
+        self._rel_solvers: Dict[int, LatticeSolver] = {}
         self.diff: Dict[int, IntMatrix] = {}
         for q in range(qlo - 1, qhi + 1):
             self.diff[q] = self._assemble(q)

@@ -6,13 +6,16 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from time import perf_counter
 
 import pytest
 
 from tateform.cli import main, parse_scenario, run_scenario, serialize_scenario
 from tateform import scenarios
 from tateform.errors import ParseError
+from tateform.groups import symmetric_group
 from tateform.scenarios import bundled_document, bundled_names
+from tateform.tate import TOTAL_DIM_CAP
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -290,6 +293,23 @@ class TestExitCodes:
         assert err == (
             "computation error: degrees [1, 2] with coefficient support "
             "[0, 0] need resolution degrees [-3, 0]; window is [-1, 1]\n")
+
+    def test_oversized_total_complex_is_refused_up_front(self, tmp_path):
+        # S4 with the regular module: coinduced from the trivial subgroup
+        # the coefficients have 576 generators, so degree 1 of its total
+        # complex is 3 x 576 wide, and it is refused before it is built
+        doc = minimal_doc(
+            group={"kind": "table",
+                   "table": [list(r) for r in symmetric_group(4).table]},
+            coefficients={"kind": "regular"}, options={"window": 3})
+        p = tmp_path / "s4-regular.json"
+        p.write_text(json.dumps(doc))
+        start = perf_counter()
+        code, out, err = invoke(["run", str(p)])
+        assert perf_counter() - start < 10
+        assert (code, out) == (2, "")
+        assert err == ("computation error: total complex degree 1 has "
+                       "dimension 1728, cap is %d\n" % TOTAL_DIM_CAP)
 
     def test_window_too_small_is_computation_error(self):
         code, _, err = invoke(

@@ -10,6 +10,7 @@ formation layer's repeated maps are counted through wrappers.
 import hashlib
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stdout
 from functools import reduce
 from itertools import combinations
@@ -167,6 +168,40 @@ def test_peeled_resolutions_are_pinned():
         "8083496147273fb1eef39a01da0d944e362f16d008470fcbf27985910446b3ed")
     assert _digest(c2cubed) == (
         "fa05b261d1f4fb03d8e8bef24b43a1385d35b1e1d15142a9e5187ed098e1a358")
+
+
+def _recorded_needs(monkeypatch):
+    """The ``need`` of every elimination, calls made through resolutions'
+    own name for smith_normal_form included."""
+    needs = []
+    original = intlinalg.smith_normal_form
+
+    def recording(a, need="u u_inv v v_inv"):
+        needs.append(need)
+        return original(a, need)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    monkeypatch.setattr(resolutions, "smith_normal_form", recording)
+    return needs
+
+
+def test_each_tate_degree_eliminates_its_numerator_once(monkeypatch):
+    # per degree of [-2, 3]: the kernel (v), the numerator lattice, whose
+    # elimination also serves the subquotient's solves, and the cokernel
+    # (u u_inv each); the one u v elimination is Z's module check
+    G = groups.make_cyclic(6)
+    X = complete_resolution(periodic_resolution(G, 6))
+    needs = _recorded_needs(monkeypatch)
+    tate.tate_hypercohomology(X, concentrate(zmodule(G), 0), -2, 3)
+    assert Counter(needs) == {"v": 6, "u u_inv": 12, "u v": 1}
+
+
+def test_the_peel_eliminates_each_span_once(monkeypatch):
+    # outside kernel_basis (v), every elimination is a span's lattice_basis,
+    # which carries U and U^-1 and no V
+    needs = _recorded_needs(monkeypatch)
+    peeled_resolution(groups.symmetric_group(4), 3)
+    assert Counter(needs) == {"v": 4, "u u_inv": 18}
 
 
 def _counting(monkeypatch, module, name):

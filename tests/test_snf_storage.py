@@ -441,13 +441,15 @@ def test_every_edge_returns_python_ints(monkeypatch, a, promotes):
     for idx in np.ndindex(*x.shape):
         x[idx] = rng.randint(-9, 9)
     coker = intlinalg.cokernel_structure(a)
-    sub = intlinalg.Subquotient(a, 2 * a)
     solver = intlinalg.LatticeSolver(a)
+    sub = intlinalg.Subquotient(solver, 2 * a)
+    lat = intlinalg.lattice_basis(a)
     outs = {
         "kernel_basis": intlinalg.kernel_basis(intlinalg.hstack([a, a[:, :1]])),
-        "lattice_basis": intlinalg.lattice_basis(a),
-        "span_basis": intlinalg.span_basis(intlinalg.smith_normal_form(a, "u_inv")),
-        "preimage_lattice": intlinalg.preimage_lattice(a, 2 * a[:, :3]),
+        "lattice_basis": lat.matrix,
+        "lattice solve": lat.solve(matmul(a, x)),
+        "lattice solve vector": lat.solve(matmul(a, x[:, 0])),
+        "preimage_lattice": intlinalg.preimage_lattice(a, 2 * a[:, :3]).matrix,
         "basis_lift": coker.basis_lift,
         "reduce_map": coker.reduce_map,
         "representative": sub.representative(0),

@@ -2,7 +2,8 @@
 
 ``LatticeSolver.solve`` answers a vector or a matrix right-hand side in one
 pass; the reference below is the per-row, per-column loop it replaced, and
-the two must agree entry for entry.  Module and complex validation ask each
+the two must agree entry for entry, also for the lattices ``lattice_basis``
+returns, which solve without a V of their own.  Module and complex validation ask each
 law with one solve and still name the offending element or pair.
 """
 
@@ -16,7 +17,8 @@ from tateform.errors import ValidationError
 from tateform.gcomplexes import GComplex
 from tateform.gmodules import GModule, zmodule
 from tateform.groups import make_cyclic
-from tateform.intlinalg import LatticeSolver, intmat, smith_normal_form, zeros
+from tateform.intlinalg import (LatticeSolver, intmat, lattice_basis,
+                                smith_normal_form, zeros)
 
 
 def reference_solve(a, b):
@@ -65,6 +67,18 @@ def same(x, y):
     return x.shape == y.shape and np.array_equal(x, y)
 
 
+def assert_lattice_solves_match_reference(a, b):
+    """``lattice_basis(a)`` solves through the elimination of a's columns,
+    reading V as 1; the reference eliminates the basis afresh.  A basis
+    gives each member one coordinate vector, so the two agree exactly,
+    on the whole of b and column by column."""
+    lat = lattice_basis(a)
+    got = lat.solve(b)
+    assert same(got, reference_solve_matrix(lat.matrix, b))
+    for j in range(b.shape[1]):
+        assert same(lat.solve(b[:, j]), reference_solve(lat.matrix, b[:, j]))
+
+
 @st.composite
 def systems(draw):
     m = draw(st.integers(0, 4))
@@ -97,6 +111,7 @@ class TestWholeMatrixSolve:
             assert np.array_equal(a @ got, b)
         for j in range(b.shape[1]):
             assert same(solver.solve(b[:, j]), reference_solve(a, b[:, j]))
+        assert_lattice_solves_match_reference(a, b)
 
     @pytest.mark.parametrize("m, n, k", [
         (0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 2), (3, 0, 0),
@@ -108,6 +123,11 @@ class TestWholeMatrixSolve:
         assert same(got, reference_solve_matrix(zeros(m, n), zeros(m, k)))
         vec = LatticeSolver(zeros(m, n)).solve(np.zeros(m, dtype=object))
         assert vec.shape == (n,)
+        # the zero lattice's basis has no columns, so its answers have no rows
+        assert_lattice_solves_match_reference(zeros(m, n), zeros(m, k))
+        lat = lattice_basis(zeros(m, n))
+        assert lat.solve(zeros(m, k)).shape == (0, k)
+        assert lat.solve(np.zeros(m, dtype=object)).shape == (0,)
 
     @pytest.mark.parametrize("m, n", [(0, 0), (2, 0), (0, 3), (2, 2), (3, 2), (2, 5)])
     def test_empty_right_hand_sides_match_general_path(self, m, n):
