@@ -512,8 +512,9 @@ class LatticeSolver:
     x = V[:, :r] (c[:r] / d).  ``snf``, when given, is an elimination of A
     at hand carrying ``u`` and ``v``, or one carrying ``u`` without ``v``
     whose U gives U A = [D; 0] (``lattice_basis``), read with V = 1;
-    otherwise A is factored here.  U and V are used as the elimination returned them, int64 or
-    object, through ``matmul``, so a solve answers in Python ints.
+    otherwise A is factored here.  U and V are used as the elimination
+    returned them, int64 or object, through ``matmul``, so a solve
+    answers in Python ints.
     """
 
     def __init__(self, a: IntMatrix, snf: Optional[SnfResult] = None):
