@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, ValidationError
-from .groups import FiniteGroup, Subgroup, make_cyclic
+from .groups import FiniteGroup, make_cyclic
 from .intlinalg import (
     AbGroup,
     IntMatrix,
@@ -206,15 +206,6 @@ def dual_module(M: GModule) -> GModule:
     G = M.group
     action = [base.act(G.inv(g)).T for g in range(G.order)]
     return GModule(G, zeros(base.gens, 0), action, name=f"dual({M.name})")
-
-
-def restrict_module(M: GModule, H: Subgroup) -> GModule:
-    """The same presentation viewed over the subgroup's own table."""
-    if H.parent is not M.group:
-        raise ValidationError("subgroup belongs to a different group")
-    Hgrp, embed = H.as_group()
-    action = [M.act(embed[i]) for i in range(Hgrp.order)]
-    return GModule(Hgrp, M.relators, action, name=f"res({M.name})")
 
 
 def fixed_points_subquotient(M: GModule) -> Subquotient:

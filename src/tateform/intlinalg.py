@@ -3,7 +3,8 @@
 Smith normal form, integer kernels and solves, and structure data for
 finitely generated abelian groups presented as cokernels.  Matrices go in
 and come out as numpy arrays with ``dtype=object`` holding Python ints, so
-arithmetic is arbitrary precision and no floating point is ever involved.
+every result is exact; float64 appears only inside ``matmul``, as exact
+storage for products whose partial sums all stay below 2^53.
 
 Inside ``smith_normal_form`` the working storage is picked per call: an
 input of at least 256 entries, all below 2^30, is eliminated on int64
@@ -21,9 +22,10 @@ go through ``matmul``, an elementwise product with an object array, or
 is formed unguarded and no other function returns int64.
 
 Matrix products outside the elimination (the d o d and cocycle audits,
-homology's representatives, the solves) go through ``matmul``, guarded
-the same way: it multiplies on int64 when the inner dimension k and the
-largest entries bound every sum, k max|a| max|b| < 2^63, and on Python
+homology's representatives, the solves, the peel's span quotient) go
+through ``matmul``, guarded the same way: the inner dimension k and the
+largest entries bound every sum by k max|a| max|b|, and it multiplies
+on float64 through BLAS below 2^53, on int64 below 2^63 and on Python
 ints otherwise, and always returns Python ints.  ``LatticeSolver`` uses
 the factors of its elimination as they arrive, int64 or object.
 
@@ -32,11 +34,12 @@ fixed (row, column) tie-break, which keeps intermediate entries small at
 the sizes this package works at and makes every result reproducible bit
 for bit.  It carries only the transforms its caller names in ``need``
 (``kernel_basis`` reads V, ``cokernel_structure`` and ``lattice_basis`` U
-and U^-1, a ``LatticeSolver`` that factors its own matrix U and V); the
-others come back as 0 x 0 arrays.  ``lattice_basis`` is the one reader of
-its basis and its solves, so each lattice is eliminated once.  The pivot
-sequence does not depend on ``need``, so a carried transform is the same
-matrix whatever else is carried.
+and U^-1, a ``LatticeSolver`` that factors its own matrix U and V, the
+peel's span quotient U alone); the others come back as 0 x 0 arrays.
+``lattice_basis`` is the one reader of its basis and its solves, so each
+lattice is eliminated once.  The pivot sequence does not depend on
+``need``, so a carried transform is the same matrix whatever else is
+carried.
 
 ``LatticeSolver.solve`` is the package's one integer solve.  It answers a
 vector or a whole matrix of right-hand sides in one pass through a cached
@@ -132,13 +135,14 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-# matmul runs on int64 when no sum can reach 2^63 (see its docstring).
+# matmul runs on float64 or int64 when no sum can reach 2^53 or 2^63
+# (see its docstring).
 # Under _MATMUL_MIN_WORK multiply-adds it stays on objects: there the
 # conversions to and from int64 cost more than int64 arithmetic saves.
 _MATMUL_MIN_WORK = 1024
 
 
-def _narrow(x: np.ndarray) -> np.ndarray:
+def narrow(x: np.ndarray) -> np.ndarray:
     """x on int64 storage when every entry fits, else x itself."""
     try:
         return x.astype(np.int64, copy=False)
@@ -154,16 +158,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The exact product a @ b of a matrix and a matrix or vector, as
     ``dtype=object`` Python ints.
 
-    With inner dimension k, every sum the product forms is at most
-    k max|a| max|b| in absolute value, so when that is below 2^63 the
-    product runs on int64; otherwise, and under a fixed floor of work, it
+    With inner dimension k, every product and partial sum the product
+    forms is at most k max|a| max|b| in absolute value.  Below 2^53 the
+    product runs through float64 BLAS, where integers of that size and
+    their sums in any order are exact (the FFLAS-FFPACK technique); below
+    2^63 it runs on int64; otherwise, and under a fixed floor of work, it
     runs on objects.  Either operand may already be int64.
     """
     if a.size * (b.shape[1] if b.ndim == 2 else 1) >= _MATMUL_MIN_WORK:
-        a64, b64 = _narrow(a), _narrow(b)
-        if (a64.dtype == b64.dtype == np.int64
-                and a.shape[1] * _max_abs(a64) * _max_abs(b64) < 1 << 63):
-            return (a64 @ b64).astype(object)
+        a64, b64 = narrow(a), narrow(b)
+        if a64.dtype == b64.dtype == np.int64:
+            bound = a.shape[1] * _max_abs(a64) * _max_abs(b64)
+            if bound < 1 << 53:
+                prod = a64.astype(np.float64) @ b64.astype(np.float64)
+                return prod.astype(np.int64).astype(object)
+            if bound < 1 << 63:
+                return (a64 @ b64).astype(object)
     return np.matmul(a, b, dtype=object)
 
 
@@ -323,7 +333,10 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
         if bound is not None:
             grow(abs(q))
         w, x, x_inv = lines[cols]
-        w[i, t:] += q * w[k, t:]
+        if cols:  # column t is clear below the pivot: only s[t, i] moves
+            w[i, t] += q * w[k, t]
+        else:
+            w[i, t:] += q * w[k, t:]
         if x is not None:
             x[i, :] += q * x[k, :]
         if x_inv is not None:
@@ -336,7 +349,9 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
         when line i is reduced, so the quotients are known up front: on
         int64 storage a pass over at least _CLEAR_MIN_LINES nonzero lines
         is one array operation under one guard step of sum |q|; otherwise
-        the lines are reduced one at a time.
+        the lines are reduced one at a time.  Clearing row t (``cols``) runs
+        only once column t is clear below the pivot, so of s it changes
+        just s[t, i] for each column i it reduces.
 
         A row clear refreshes the row minima of the rows it changed.  The
         pivot row's minimum goes stale under the operations only it takes
@@ -354,7 +369,10 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
             grow(sum(map(abs, q.tolist())))
             if bound is not None:
                 w, x, x_inv = lines[cols]
-                w[rows, t:] += q[:, None] * w[t, t:]
+                if cols:
+                    w[rows, t] += q * w[t, t]
+                else:
+                    w[rows, t:] += q[:, None] * w[t, t:]
                 if x is not None:
                     x[rows, :] += q[:, None] * x[t, :]
                 if x_inv is not None:
@@ -447,54 +465,6 @@ def smith_normal_form(a: IntMatrix, need: str = "u u_inv v v_inv") -> SnfResult:
     diag = tuple(int(s[i, i]) for i in range(min(m, n)))
     u, u_inv, v, v_inv = (zeros(0, 0) if x is None else x for x in (u, u_inv, v, v_inv))
     return SnfResult(u, u_inv, s, v, v_inv, diag)
-
-
-def gcd_minors_diagonal(a: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors computed the slow, independent way.
-
-    d_k = gcd of all k x k minors divided by gcd of all (k-1) x (k-1)
-    minors.  Exponential in the matrix size; meant as an oracle for small
-    matrices, not for real work.
-    """
-    from itertools import combinations
-    from math import gcd
-
-    m, n = a.shape
-    prev = 1
-    out = []
-    for k in range(1, min(m, n) + 1):
-        g = 0
-        for rows in combinations(range(m), k):
-            for cols in combinations(range(n), k):
-                g = gcd(g, _det([[a[i, j] for j in cols] for i in rows]))
-        if g == 0:
-            out.extend([0] * (min(m, n) - len(out)))
-            break
-        out.append(g // prev)
-        prev = g
-    return tuple(out)
-
-
-def _det(rows: list[list[int]]) -> int:
-    """Integer determinant by fraction-free Gaussian elimination (Bareiss)."""
-    mat = [row[:] for row in rows]
-    n = len(mat)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            for i in range(k + 1, n):
-                if mat[i][k] != 0:
-                    mat[k], mat[i] = mat[i], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1] if n else 1
 
 
 # ---------------------------------------------------------------------------
@@ -777,19 +747,3 @@ class Subquotient:
         if w is None:
             raise ValueError("vector is not in the numerator lattice")
         return self._coker.classify(w)
-
-
-def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbGroup:
-    """ker(d_out) / im(d_in) for integer matrices with d_out @ d_in == 0.
-
-    Returns the subquotient's structure; ``basis_lift`` columns are cycle
-    representatives in the ambient chain group.
-    """
-    if d_in.shape[0] != d_out.shape[1]:
-        raise ValueError(
-            f"shape mismatch: d_in maps into Z^{d_in.shape[0]}, "
-            f"d_out maps out of Z^{d_out.shape[1]}"
-        )
-    if not is_zero(matmul(d_out, d_in)):
-        raise ExactnessError("d_out @ d_in != 0")
-    return Subquotient(LatticeSolver(kernel_basis(d_out)), d_in).group

@@ -23,8 +23,8 @@ from .intlinalg import (
     hstack,
     is_zero,
     kernel_basis,
-    lattice_basis,
     matmul,
+    narrow,
     smith_normal_form,
     zeros,
 )
@@ -193,15 +193,67 @@ def periodic_resolution(G: FiniteGroup, length: int) -> FreeResolution:
     return FreeResolution(G, [1] * (length + 1), dgens, aug, engine="periodic")
 
 
+class SpanQuotient:
+    """Z^m modulo the lattice L spanned by the columns added so far, kept
+    as integer functionals F (one row each) with moduli: x lies in L iff
+    F x is divisible by the modulus on the first ``len(moduli)`` rows (the
+    torsion rows, moduli at least 2) and zero on the rest.  L = 0 at first,
+    with F the identity.
+
+    ``add`` eliminates only the new columns against the quotient: with O
+    the new columns, Z^m / (L + span O) is the cokernel of
+    M = [F O | diag(moduli)], whose elimination U M V = S carries just U.
+    F becomes U F on the rows of S whose factor is not 1, with those
+    factors as moduli; these are the rows ``cokernel_structure`` keeps as
+    its reduce_map.  M has at most |O| + len(moduli) columns however large
+    L is.  Torsion rows are reduced modulo their moduli, which changes no
+    verdict and keeps F small; F stays on int64 storage while it fits.
+    """
+
+    def __init__(self, m: int):
+        self.f = np.eye(m, dtype=np.int64)
+        self.moduli = np.zeros(0, dtype=object)
+
+    def _times(self, a: IntMatrix, b: IntMatrix) -> IntMatrix:
+        # a b, with the torsion rows reduced modulo their moduli
+        out = matmul(a, b)
+        out[:len(self.moduli)] %= self.moduli[:, None]
+        return out
+
+    def first_outside(self, x: IntMatrix, start: int = 0) -> Optional[int]:
+        """Index of the first column of x from ``start`` on that lies
+        outside L, or None; one product tests them all."""
+        out = np.nonzero(np.any(self._times(self.f, x[:, start:]) != 0, axis=0))[0]
+        return start + int(out[0]) if len(out) else None
+
+    def add(self, gens: IntMatrix) -> None:
+        k, t = self.f.shape[0], len(self.moduli)
+        torsion = zeros(k, t)
+        torsion[np.arange(t), np.arange(t)] = self.moduli
+        m = hstack([self._times(self.f, gens), torsion])
+        snf = smith_normal_form(m, need="u")
+        r = snf.rank
+        keep = [i for i in range(r) if snf.diagonal[i] != 1] + list(range(r, k))
+        self.moduli = np.array([snf.diagonal[i] for i in keep if i < r],
+                               dtype=object)
+        self.f = narrow(self._times(snf.u[keep], self.f))
+
+
 def peeled_resolution(G: FiniteGroup, length: int) -> FreeResolution:
     """Resolution built by repeatedly peeling kernels.
 
     At each step the kernel of the previous differential (a G-stable
     sublattice, so a Z[G]-submodule) is covered greedily by the orbits of
-    its own lattice basis vectors; the chosen vectors become the images of
-    the next free term's generators.  Exactness holds by construction and
-    ranks stay near-minimal, which keeps noncyclic groups tractable where
-    the bar resolution's |G|^i growth does not.
+    its own lattice basis vectors: a basis vector is chosen when it lies
+    outside the span of the orbits chosen before it, and the chosen
+    vectors become the images of the next free term's generators.  That
+    span is kept as a ``SpanQuotient``, so each chosen orbit is eliminated
+    once, against the quotient and not with the orbits before it, and the
+    remaining basis vectors are tested in one product.  Membership is a
+    property of the lattice, so the chosen vectors do not depend on how
+    the span is represented.  Exactness holds by construction and ranks
+    stay near-minimal, which keeps noncyclic groups tractable where the
+    bar resolution's |G|^i growth does not.
     """
     n = G.order
     ranks = [1]
@@ -211,17 +263,13 @@ def peeled_resolution(G: FiniteGroup, length: int) -> FreeResolution:
     prev_rank = 1
     for i in range(1, length + 1):
         chosen: List[IntMatrix] = []
-        span: Optional[LatticeSolver] = None
-        for j in range(kernel.shape[1]):
-            v = kernel[:, j:j + 1]
-            if span is not None and span.contains(v[:, 0]):
-                continue
-            chosen.append(v)
-            orbit = free_full_matrix(G, prev_rank, v)
-            # membership does not depend on which generators span the
-            # lattice, so the last span's basis stands in for its orbits
-            span = lattice_basis(orbit if span is None
-                                 else hstack([span.matrix, orbit]))
+        span = SpanQuotient(kernel.shape[0])
+        narrowed = narrow(kernel)  # converted once for every membership test
+        j = span.first_outside(narrowed)
+        while j is not None:
+            chosen.append(kernel[:, j:j + 1])
+            span.add(free_full_matrix(G, prev_rank, chosen[-1]))
+            j = span.first_outside(narrowed, j + 1)
         r = max(len(chosen), 1)
         if r > PEEL_RANK_CAP:
             raise CapExceeded("peeled rank %d exceeds cap %d" % (r, PEEL_RANK_CAP))

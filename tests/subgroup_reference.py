@@ -15,10 +15,11 @@ over H through the checking ``restrict_module``.
 import numpy as np
 
 from tateform.gcomplexes import GComplex
-from tateform.gmodules import restrict_module
 from tateform.groups import coset_representatives, right_transversal
 from tateform.intlinalg import zeros
 from tateform.resolutions import FreeResolution, complete_resolution
+
+from reference import restrict_module
 
 
 def relabel(G, H, gen):

@@ -12,7 +12,6 @@ from tateform.gmodules import (
     norm_endomorphism,
     normalized,
     regular_module,
-    restrict_module,
     tensor,
     trivial_cyclic,
     trivial_module,
@@ -29,6 +28,8 @@ from tateform.groups import (
     whole_subgroup,
 )
 from tateform.intlinalg import AbGroup, LatticeSolver, eye, intmat, zeros
+
+from reference import restrict_module
 
 
 def inversion_module(n):

@@ -17,8 +17,6 @@ from tateform.intlinalg import (
     Subquotient,
     cokernel_structure,
     eye,
-    gcd_minors_diagonal,
-    homology_at,
     intmat,
     is_zero,
     kernel_basis,
@@ -28,6 +26,7 @@ from tateform.intlinalg import (
     solve,
     zeros,
 )
+from reference import gcd_minors_diagonal, homology_at
 
 
 def assert_snf_consistent(a, snf):

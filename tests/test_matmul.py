@@ -1,9 +1,9 @@
 """The exact matrix product and the solver factors kept on int64.
 
-``intlinalg.matmul`` multiplies on int64 when k max|a| max|b| < 2^63 over
-inner dimension k, and on Python ints otherwise.  Whichever side of that
-guard a product falls on, it must equal object ``@`` entry for entry and
-hold Python ints.  ``LatticeSolver`` uses its factors on the storage the
+``intlinalg.matmul`` multiplies on float64 when k max|a| max|b| < 2^53
+over inner dimension k, on int64 when it is below 2^63, and on Python
+ints otherwise.  Whichever side of those guards a product falls on, it
+must equal object ``@`` entry for entry and hold Python ints.  ``LatticeSolver`` uses its factors on the storage the
 elimination returned them on; solves through int64 factors and through
 factors too wide for int64 must both match the per-column reference of
 ``test_solve``.
@@ -12,6 +12,7 @@ factors too wide for int64 must both match the per-column reference of
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,8 +38,8 @@ def random_matrix(rng, shape, bits):
 @st.composite
 def products(draw):
     """Entries up to 2^40 and inner dimension up to 300, so
-    products fall on both sides of the int64 guard; some carry an entry
-    of at least 2^63, which int64 cannot hold at all."""
+    products fall on every side of the float64 and int64 guards; some
+    carry an entry of at least 2^63, which int64 cannot hold at all."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     m, k = draw(st.integers(1, 6)), draw(st.integers(0, 300))
     shape_b = (k,) if draw(st.booleans()) else (k, draw(st.integers(1, 6)))
@@ -86,6 +87,58 @@ def test_empty_inner_dimension():
     got = matmul(zeros(40, 0), zeros(0, 40))
     assert_exact(got, zeros(40, 0), zeros(0, 40))
     assert not got.any()
+
+
+@pytest.mark.parametrize("b_shape", [(0, 40), (0,)], ids=["matrix", "vector"])
+def test_empty_inner_dimension_on_int64(b_shape):
+    a, b = np.zeros((40, 0), dtype=np.int64), np.zeros(b_shape, dtype=np.int64)
+    got = matmul(a, b)
+    assert_exact(got, a, b)
+    assert not got.any()
+
+
+def test_float_tier_is_exact_one_below_two_to_the_53():
+    # k max|a| max|b| == 2^53 - 1 == 6361 * 69431 * 20394401: the one
+    # entry sums 6361 equal terms up to 2^53 - 1, the largest bound the
+    # float64 tier takes, with every partial sum exact
+    k, x, y = 6361, 69431, 20394401
+    assert k * x * y == (1 << 53) - 1
+    a = np.full((1, k), x, dtype=object)
+    b = np.full((k, 1), y, dtype=object)
+    got = matmul(a, b)
+    assert_exact(got, a, b)
+    assert got[0, 0] == (1 << 53) - 1
+    # and on a 32 x 32 product with one term per entry, signs mixed
+    a = np.full((32, 1), (1 << 53) - 1, dtype=object)
+    a[::2] *= -1
+    b = np.ones((1, 32), dtype=object)
+    assert_exact(matmul(a, b), a, b)
+
+
+@pytest.mark.parametrize("k, x", [(2, 1 << 52), (3, ((1 << 53) + 1) // 3)],
+                         ids=["2^53", "2^53+1"])
+def test_float_tier_stops_at_two_to_the_53(k, x):
+    # k max|a| max|b| is 2^53 or 2^53 + 1; in the second case float64
+    # would round the last partial sum 2^53 + 1 to 2^53, so the product
+    # must fall through to int64
+    a = np.full((32, k), x, dtype=object)
+    b = np.ones((k, 32), dtype=object)
+    got = matmul(a, b)
+    assert_exact(got, a, b)
+    assert got[0, 0] == k * x
+
+
+@pytest.mark.parametrize("huge", [(1 << 62) + 1, 1 << 70, -(1 << 70)])
+def test_huge_entry_against_zero_operand(huge):
+    # the bound is 0, so an int64-sized entry takes the float64 tier,
+    # where it cannot be held exactly; a wider one stays on objects
+    a = zeros(32, 32)
+    a[3, 5] = huge
+    b = zeros(32, 32)
+    got = matmul(a, b)
+    assert_exact(got, a, b)
+    assert not got.any()
+    assert_exact(matmul(b, a), b, a)
 
 
 def solvable_and_not(a, rng, cols):

@@ -2,9 +2,9 @@
 
 smith_normal_form carries only the transforms named in ``need``; the
 results must be byte-identical to the full elimination.  The peeled
-resolutions are pinned by digests taken before the peel shared one
-elimination between its span basis and its membership solver, and the
-formation layer's repeated maps are counted through wrappers.
+resolutions are pinned by digests taken before the peel kept its span as
+a quotient, and the formation layer's repeated maps are counted through
+wrappers.
 """
 
 import hashlib
@@ -157,8 +157,10 @@ def _digest(res):
 
 
 def test_peeled_resolutions_are_pinned():
-    # digests of the resolutions built with a lattice_basis and a fresh
-    # LatticeSolver after every chosen vector
+    # digests of the resolutions built when the peel re-eliminated its
+    # whole span, with a lattice_basis and a fresh LatticeSolver, after
+    # every chosen vector; membership depends only on the lattice, so
+    # keeping the span as a quotient chooses the same vectors
     c2 = groups.make_cyclic(2)
     s4 = peeled_resolution(groups.symmetric_group(4), 5)
     c2cubed = peeled_resolution(reduce(groups.direct_product, [c2, c2, c2]), 5)
@@ -170,14 +172,17 @@ def test_peeled_resolutions_are_pinned():
         "fa05b261d1f4fb03d8e8bef24b43a1385d35b1e1d15142a9e5187ed098e1a358")
 
 
-def _recorded_needs(monkeypatch):
+def _recorded_needs(monkeypatch, shapes=None):
     """The ``need`` of every elimination, calls made through resolutions'
-    own name for smith_normal_form included."""
+    own name for smith_normal_form included; the shape of each input is
+    appended to ``shapes`` when it is given."""
     needs = []
     original = intlinalg.smith_normal_form
 
     def recording(a, need="u u_inv v v_inv"):
         needs.append(need)
+        if shapes is not None:
+            shapes.append(a.shape)
         return original(a, need)
 
     monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
@@ -197,11 +202,26 @@ def test_each_tate_degree_eliminates_its_numerator_once(monkeypatch):
 
 
 def test_the_peel_eliminates_each_span_once(monkeypatch):
-    # outside kernel_basis (v), every elimination is a span's lattice_basis,
-    # which carries U and U^-1 and no V
-    needs = _recorded_needs(monkeypatch)
-    peeled_resolution(groups.symmetric_group(4), 3)
-    assert Counter(needs) == {"v": 4, "u u_inv": 18}
+    # outside kernel_basis (v), every elimination adds one chosen orbit to
+    # the span's quotient and carries U alone; it sees that orbit and one
+    # column per torsion row of the quotient, never the orbits before it
+    shapes = []
+    needs = _recorded_needs(monkeypatch, shapes)
+    torsion = []
+    original = resolutions.SpanQuotient.add
+
+    def add(self, gens):
+        torsion.append(len(self.moduli))
+        original(self, gens)
+
+    monkeypatch.setattr(resolutions.SpanQuotient, "add", add)
+    G = groups.symmetric_group(4)
+    peeled_resolution(G, 3)
+    assert Counter(needs) == {"v": 4, "u": 18}
+    spans = [shape for need, shape in zip(needs, shapes) if need == "u"]
+    assert len(spans) == len(torsion)
+    for (_, cols), t in zip(spans, torsion):
+        assert cols <= G.order + t
 
 
 def _counting(monkeypatch, module, name):

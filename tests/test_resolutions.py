@@ -6,9 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tateform.errors import CapExceeded, ValidationError
-from tateform.groups import direct_product, make_cyclic, symmetric_group
-from tateform.intlinalg import LatticeSolver, intmat, is_zero, kernel_basis, lattice_basis
+from tateform.groups import direct_product, from_table, make_cyclic, symmetric_group
+from tateform.intlinalg import (
+    LatticeSolver,
+    hstack,
+    intmat,
+    is_zero,
+    kernel_basis,
+    lattice_basis,
+    zeros,
+)
 from tateform.resolutions import (
+    SpanQuotient,
     bar_resolution,
     complete_resolution,
     dual_gen,
@@ -18,6 +27,7 @@ from tateform.resolutions import (
     resolution_for,
     validate_complete_resolution,
 )
+from test_differential import relabel
 
 
 class TestFreeFullMatrix:
@@ -140,6 +150,31 @@ class TestPeriodic:
         assert validate_complete_resolution(complete_resolution(res)).passed
 
 
+def _table_group(elements, mul, name):
+    return from_table([[elements.index(mul(a, b)) for b in elements]
+                       for a in elements], name=name)
+
+
+def _hamilton(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
+PEEL_GROUPS = {
+    "S3": symmetric_group(3),
+    # r^i s^j, with s r = r^-1 s
+    "D4": _table_group([(i, j) for j in range(2) for i in range(4)],
+                       lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4,
+                                     x[1] ^ y[1]), "D4"),
+    # +-1, +-i, +-j, +-k as quaternions
+    "Q8": _table_group([tuple(s * (k == i) for k in range(4))
+                        for s in (1, -1) for i in range(4)], _hamilton, "Q8"),
+    "S4": symmetric_group(4),
+}
+
+
 class TestPeeled:
     def test_klein_exact(self):
         G = direct_product(make_cyclic(2), make_cyclic(2))
@@ -155,6 +190,41 @@ class TestPeeled:
         # the augmentation ideal of a cyclic group is principal over the
         # group ring, so peeling should not inflate ranks much
         assert all(r <= 3 for r in res.ranks)
+
+    @pytest.mark.parametrize("name, seed", [
+        ("S3", None), ("S3", 2), ("D4", None), ("D4", 0), ("Q8", None),
+        ("Q8", 0), ("S4", None), ("S4", 1), ("S4", 2)])
+    def test_quotient_membership_matches_the_lattice(self, name, seed):
+        # every degree of the peel replayed kernel column by kernel column:
+        # the quotient's verdict equals a fresh lattice_basis of the orbits
+        # chosen so far, the one product over the remaining columns finds
+        # the same next column, and the chosen columns are the peel's.
+        # The relabelings are ones whose quotients carry torsion rows
+        G = PEEL_GROUPS[name]
+        if seed is not None:
+            G = relabel(G, seed)
+        res = peeled_resolution(G, 3 if name == "S4" else 4)
+        kernel = kernel_basis(res.aug)
+        for i in range(1, res.length + 1):
+            m = kernel.shape[0]
+            span, orbits, chosen = SpanQuotient(m), [], []
+            lattice = lattice_basis(zeros(m, 0))
+            start = 0  # the column after the last chosen one
+            for j in range(kernel.shape[1]):
+                v = kernel[:, j:j + 1]
+                inside = span.first_outside(v) is None
+                assert inside == lattice.contains(v[:, 0])
+                if inside:
+                    continue
+                assert span.first_outside(kernel, start) == j
+                start = j + 1
+                chosen.append(v)
+                orbits.append(free_full_matrix(G, m // G.order, v))
+                span.add(orbits[-1])
+                lattice = lattice_basis(hstack(orbits))
+            assert span.first_outside(kernel) is None
+            assert np.array_equal(hstack(chosen), res.dgens[i])
+            kernel = kernel_basis(res.full(i))
 
     def test_dispatch(self):
         assert resolution_for(make_cyclic(5), 2).engine == "periodic"
