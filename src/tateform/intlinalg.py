@@ -3,7 +3,7 @@
 Smith normal form, integer kernels and solves, and structure data for
 finitely generated abelian groups presented as cokernels.  Matrices go in
 and come out as numpy arrays with ``dtype=object`` holding Python ints, so
-every result is exact; float64 appears only inside ``matmul``, as exact
+every result is exact; float64 appears only inside ``matmul64``, as exact
 storage for products whose partial sums all stay below 2^53.
 
 Inside ``smith_normal_form`` the working storage is picked per call: an
@@ -19,15 +19,18 @@ storage keeps the scan.  The pivot sequence is the same on either
 storage, and ``SnfResult`` keeps the storage the run ended on; its readers
 go through ``matmul``, an elementwise product with an object array, or
 ``astype(object, copy=False)`` on the slice they return, so no int64 sum
-is formed unguarded and no other function returns int64.
+is formed unguarded and no other function but ``matmul64`` returns int64.
 
-Matrix products outside the elimination (the d o d and cocycle audits,
-homology's representatives, the solves, the peel's span quotient) go
-through ``matmul``, guarded the same way: the inner dimension k and the
-largest entries bound every sum by k max|a| max|b|, and it multiplies
-on float64 through BLAS below 2^53, on int64 below 2^63 and on Python
-ints otherwise, and always returns Python ints.  ``LatticeSolver`` uses
-the factors of its elimination as they arrive, int64 or object.
+Matrix products outside the elimination are guarded the same way: the
+inner dimension k and the largest entries bound every sum by
+k max|a| max|b|.  ``matmul64`` multiplies int64 operands on float64
+through BLAS below 2^53 and on int64 below 2^63, returns int64, and
+declines otherwise.  ``matmul`` (the d o d and cocycle audits, homology's
+representatives, the solves) runs through it when its operands fit and
+on Python ints otherwise, and always returns Python ints.  The peel's
+span quotient calls ``matmul64`` itself, so its functionals stay int64
+from one product to the next.  ``LatticeSolver`` uses the factors of its
+elimination as they arrive, int64 or object.
 
 The Smith normal form here uses the minimal-absolute-value pivot with a
 fixed (row, column) tie-break, which keeps intermediate entries small at
@@ -57,7 +60,8 @@ import numpy as np
 
 # The package-wide matrix type: a 2-D numpy array with dtype=object whose
 # entries are Python ints.  numpy is used as an exact container; only the
-# guarded int64 storage of smith_normal_form, kept in its SnfResult, is not.
+# guarded int64 storage of smith_normal_form, kept in its SnfResult, and
+# matmul64's products are not.
 IntMatrix = np.ndarray
 
 
@@ -136,7 +140,7 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 # matmul runs on float64 or int64 when no sum can reach 2^53 or 2^63
-# (see its docstring).
+# (see matmul64).
 # Under _MATMUL_MIN_WORK multiply-adds it stays on objects: there the
 # conversions to and from int64 cost more than int64 arithmetic saves.
 _MATMUL_MIN_WORK = 1024
@@ -154,26 +158,38 @@ def _max_abs(x: np.ndarray) -> int:
     return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The exact product a @ b of a matrix and a matrix or vector, as
-    ``dtype=object`` Python ints.
+def matmul64(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """The exact product a @ b of int64 operands on int64 storage, or None
+    when an operand is not int64 or the product's bound does not fit.
 
     With inner dimension k, every product and partial sum the product
     forms is at most k max|a| max|b| in absolute value.  Below 2^53 the
     product runs through float64 BLAS, where integers of that size and
     their sums in any order are exact (the FFLAS-FFPACK technique); below
-    2^63 it runs on int64; otherwise, and under a fixed floor of work, it
-    runs on objects.  Either operand may already be int64.
+    2^63 it runs on int64.
+    """
+    if a.dtype != np.int64 or b.dtype != np.int64:
+        return None
+    bound = a.shape[1] * _max_abs(a) * _max_abs(b)
+    if bound < 1 << 53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    if bound < 1 << 63:
+        return a @ b
+    return None
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact product a @ b of a matrix and a matrix or vector, as
+    ``dtype=object`` Python ints.
+
+    It runs through ``matmul64`` when both operands fit int64 and the
+    bound fits; otherwise, and under a fixed floor of work, it runs on
+    objects.  Either operand may already be int64.
     """
     if a.size * (b.shape[1] if b.ndim == 2 else 1) >= _MATMUL_MIN_WORK:
-        a64, b64 = narrow(a), narrow(b)
-        if a64.dtype == b64.dtype == np.int64:
-            bound = a.shape[1] * _max_abs(a64) * _max_abs(b64)
-            if bound < 1 << 53:
-                prod = a64.astype(np.float64) @ b64.astype(np.float64)
-                return prod.astype(np.int64).astype(object)
-            if bound < 1 << 63:
-                return (a64 @ b64).astype(object)
+        prod = matmul64(narrow(a), narrow(b))
+        if prod is not None:
+            return prod.astype(object)
     return np.matmul(a, b, dtype=object)
 
 

@@ -24,6 +24,7 @@ from .intlinalg import (
     is_zero,
     kernel_basis,
     matmul,
+    matmul64,
     narrow,
     smith_normal_form,
     zeros,
@@ -40,6 +41,7 @@ def free_full_matrix(G: FiniteGroup, rank_target: int, gen: IntMatrix) -> IntMat
 
     Column (b, sigma) is obtained from column (b, e) by the target action,
     which for a free target is the block permutation (a, tau) -> (a, sigma*tau).
+    The result has gen's storage, so an int64 orbit stays int64.
     """
     n = G.order
     rows, r = gen.shape
@@ -47,13 +49,11 @@ def free_full_matrix(G: FiniteGroup, rank_target: int, gen: IntMatrix) -> IntMat
         raise ValidationError(
             "generator matrix has %d rows, expected %d" % (rows, rank_target * n)
         )
-    out = zeros(rows, r * n)
-    base = np.arange(rank_target) * n
-    for sigma in range(n):
-        row = np.asarray(G.table[sigma], dtype=np.intp)
-        perm = np.repeat(base, n) + np.tile(row, rank_target)
-        for b in range(r):
-            out[perm, b * n + sigma] = gen[:, b]
+    # column (b, sigma) holds gen[:, b] on the rows (a, sigma*tau)
+    table = np.asarray(G.table, dtype=np.intp)
+    perm = (np.arange(rank_target)[:, None, None] * n + table.T).reshape(rows, 1, n)
+    out = np.zeros((rows, r * n), dtype=gen.dtype)
+    out[perm, np.arange(r * n).reshape(1, r, n)] = gen[:, :, None]
     return out
 
 
@@ -207,17 +207,25 @@ class SpanQuotient:
     factors as moduli; these are the rows ``cokernel_structure`` keeps as
     its reduce_map.  M has at most |O| + len(moduli) columns however large
     L is.  Torsion rows are reduced modulo their moduli, which changes no
-    verdict and keeps F small; F stays on int64 storage while it fits.
+    verdict and keeps F small.
+
+    F, the moduli and M stay on int64 storage while they fit: every
+    product goes through ``matmul64``, and the torsion rows are reduced
+    on int64 when every modulus fits.  A product whose bound does not fit,
+    or a modulus of 2^63 or more, sends that step through Python ints.
     """
 
     def __init__(self, m: int):
         self.f = np.eye(m, dtype=np.int64)
-        self.moduli = np.zeros(0, dtype=object)
+        self.moduli = np.zeros(0, dtype=np.int64)
 
     def _times(self, a: IntMatrix, b: IntMatrix) -> IntMatrix:
         # a b, with the torsion rows reduced modulo their moduli
-        out = matmul(a, b)
-        out[:len(self.moduli)] %= self.moduli[:, None]
+        moduli = self.moduli
+        out = matmul64(narrow(a), narrow(b)) if moduli.dtype == np.int64 else None
+        if out is None:
+            out, moduli = matmul(a, b), moduli.astype(object)
+        out[:len(moduli)] %= moduli[:, None]
         return out
 
     def first_outside(self, x: IntMatrix, start: int = 0) -> Optional[int]:
@@ -228,14 +236,14 @@ class SpanQuotient:
 
     def add(self, gens: IntMatrix) -> None:
         k, t = self.f.shape[0], len(self.moduli)
-        torsion = zeros(k, t)
+        torsion = np.zeros((k, t), dtype=self.moduli.dtype)
         torsion[np.arange(t), np.arange(t)] = self.moduli
         m = hstack([self._times(self.f, gens), torsion])
         snf = smith_normal_form(m, need="u")
         r = snf.rank
         keep = [i for i in range(r) if snf.diagonal[i] != 1] + list(range(r, k))
-        self.moduli = np.array([snf.diagonal[i] for i in keep if i < r],
-                               dtype=object)
+        self.moduli = narrow(np.array([snf.diagonal[i] for i in keep if i < r],
+                                      dtype=object))
         self.f = narrow(self._times(snf.u[keep], self.f))
 
 
@@ -251,33 +259,34 @@ def peeled_resolution(G: FiniteGroup, length: int) -> FreeResolution:
     once, against the quotient and not with the orbits before it, and the
     remaining basis vectors are tested in one product.  Membership is a
     property of the lattice, so the chosen vectors do not depend on how
-    the span is represented.  Exactness holds by construction and ranks
-    stay near-minimal, which keeps noncyclic groups tractable where the
-    bar resolution's |G|^i growth does not.
+    the span is represented.  The last differential's kernel is never
+    peeled, so it is not computed: a window-N peel makes N kernel
+    eliminations, of the augmentation and of d_1, ..., d_{N-1}.  Exactness
+    holds by construction and ranks stay near-minimal, which keeps
+    noncyclic groups tractable where the bar resolution's |G|^i growth
+    does not.
     """
     n = G.order
     ranks = [1]
     dgens: List[Optional[IntMatrix]] = [None]
     aug = np.full((1, n), 1, dtype=object)
-    kernel = kernel_basis(aug)
-    prev_rank = 1
     for i in range(1, length + 1):
+        prev_rank = ranks[-1]
+        kernel = kernel_basis(
+            aug if i == 1 else free_full_matrix(G, ranks[-2], dgens[-1]))
         chosen: List[IntMatrix] = []
         span = SpanQuotient(kernel.shape[0])
         narrowed = narrow(kernel)  # converted once for every membership test
         j = span.first_outside(narrowed)
         while j is not None:
             chosen.append(kernel[:, j:j + 1])
-            span.add(free_full_matrix(G, prev_rank, chosen[-1]))
+            span.add(free_full_matrix(G, prev_rank, narrowed[:, j:j + 1]))
             j = span.first_outside(narrowed, j + 1)
         r = max(len(chosen), 1)
         if r > PEEL_RANK_CAP:
             raise CapExceeded("peeled rank %d exceeds cap %d" % (r, PEEL_RANK_CAP))
-        d = hstack(chosen) if chosen else zeros(prev_rank * n, 1)
         ranks.append(r)
-        dgens.append(d)
-        kernel = kernel_basis(free_full_matrix(G, prev_rank, d))
-        prev_rank = r
+        dgens.append(hstack(chosen) if chosen else zeros(prev_rank * n, 1))
     return FreeResolution(G, ranks, dgens, aug, engine="peeled")
 
 

@@ -3,7 +3,8 @@
 ``intlinalg.matmul`` multiplies on float64 when k max|a| max|b| < 2^53
 over inner dimension k, on int64 when it is below 2^63, and on Python
 ints otherwise.  Whichever side of those guards a product falls on, it
-must equal object ``@`` entry for entry and hold Python ints.  ``LatticeSolver`` uses its factors on the storage the
+must equal object ``@`` entry for entry and hold Python ints.
+``matmul64``, the guarded tiers on their own, returns int64 or declines.  ``LatticeSolver`` uses its factors on the storage the
 elimination returned them on; solves through int64 factors and through
 factors too wide for int64 must both match the per-column reference of
 ``test_solve``.
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tateform.intlinalg import LatticeSolver, matmul, zeros
+from tateform.intlinalg import LatticeSolver, matmul, matmul64, narrow, zeros
 from test_solve import reference_solve, reference_solve_matrix, same
 
 
@@ -68,6 +69,27 @@ def test_int64_operands_match_object_product(ab):
     except OverflowError:
         return
     assert_exact(matmul(a64, b), a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(products())
+def test_matmul64_is_exact_on_int64_or_declines(ab):
+    a, b = ab
+    a64, b64 = narrow(a), narrow(b)
+    got = matmul64(a64, b64)
+    fits = a64.dtype == b64.dtype == np.int64
+    if fits and a.shape[1] * max(map(abs, a.flat), default=0) * max(
+            map(abs, b.flat), default=0) < 1 << 63:
+        assert got.dtype == np.int64
+        assert np.array_equal(got.astype(object), a @ b)
+    else:
+        assert got is None
+
+
+def test_matmul64_declines_object_operands():
+    a = np.ones((2, 2), dtype=np.int64)
+    assert matmul64(a, a.astype(object)) is None
+    assert matmul64(a.astype(object), a) is None
 
 
 def test_guard_is_strict_at_two_to_the_63():

@@ -217,11 +217,26 @@ def test_the_peel_eliminates_each_span_once(monkeypatch):
     monkeypatch.setattr(resolutions.SpanQuotient, "add", add)
     G = groups.symmetric_group(4)
     peeled_resolution(G, 3)
-    assert Counter(needs) == {"v": 4, "u": 18}
+    assert Counter(needs) == {"v": 3, "u": 18}
     spans = [shape for need, shape in zip(needs, shapes) if need == "u"]
     assert len(spans) == len(torsion)
     for (_, cols), t in zip(spans, torsion):
         assert cols <= G.order + t
+
+
+C2 = groups.make_cyclic(2)
+
+
+@pytest.mark.parametrize("G", [
+    groups.symmetric_group(4),
+    groups.direct_product(groups.direct_product(C2, C2), C2),
+], ids=["S4", "C2^3"])
+def test_the_peel_computes_no_kernel_past_its_last_differential(monkeypatch, G):
+    # a window-w peel eliminates the kernels of the augmentation and of
+    # d_1, ..., d_{w-1}: nothing reads the kernel of d_w
+    needs = _recorded_needs(monkeypatch)
+    peeled_resolution(G, 5)
+    assert Counter(needs)["v"] == 5
 
 
 def _counting(monkeypatch, module, name):

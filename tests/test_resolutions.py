@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tateform.errors import CapExceeded, ValidationError
-from tateform.groups import direct_product, from_table, make_cyclic, symmetric_group
+from tateform.groups import direct_product, make_cyclic, symmetric_group
 from tateform.intlinalg import (
     LatticeSolver,
     hstack,
@@ -14,8 +14,12 @@ from tateform.intlinalg import (
     is_zero,
     kernel_basis,
     lattice_basis,
+    matmul64,
+    narrow,
+    smith_normal_form,
     zeros,
 )
+from tateform import resolutions
 from tateform.resolutions import (
     SpanQuotient,
     bar_resolution,
@@ -27,7 +31,7 @@ from tateform.resolutions import (
     resolution_for,
     validate_complete_resolution,
 )
-from test_differential import relabel
+from test_differential import D4, Q8, relabel
 
 
 class TestFreeFullMatrix:
@@ -46,6 +50,20 @@ class TestFreeFullMatrix:
         for t in range(3):
             P[(t + 1) % 3, t] = 1
         assert np.array_equal(full, P - np.eye(3, dtype=object))
+
+
+def loop_full_matrix(G, rank_target, gen):
+    """free_full_matrix one column (b, sigma) at a time: column (b, e)
+    of gen moved by sigma's block permutation."""
+    n = G.order
+    rows, r = gen.shape
+    out = zeros(rows, r * n)
+    for sigma in range(n):
+        for b in range(r):
+            for a in range(rank_target):
+                for tau in range(n):
+                    out[a * n + G.table[sigma][tau], b * n + sigma] = gen[a * n + tau, b]
+    return out
 
 
 _DUAL_GROUPS = [make_cyclic(1), make_cyclic(4), symmetric_group(3),
@@ -76,6 +94,19 @@ def test_dual_gen_is_the_transposed_full_matrix(data):
     assert np.array_equal(free_full_matrix(G, r, dual),
                           free_full_matrix(G, s, gen).T)
     assert np.array_equal(dual_gen(G, r, dual), gen)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_matrices())
+def test_full_matrix_matches_the_column_loop(data):
+    G, s, gen = data
+    full = free_full_matrix(G, s, gen)
+    want = loop_full_matrix(G, s, gen)
+    assert full.dtype == object and full.shape == want.shape
+    assert all(type(x) is int for x in full.flat)
+    assert np.array_equal(full, want)
+    full64 = free_full_matrix(G, s, gen.astype(np.int64))
+    assert full64.dtype == np.int64 and np.array_equal(full64, want)
 
 
 def test_dual_gen_checks_shape():
@@ -150,27 +181,10 @@ class TestPeriodic:
         assert validate_complete_resolution(complete_resolution(res)).passed
 
 
-def _table_group(elements, mul, name):
-    return from_table([[elements.index(mul(a, b)) for b in elements]
-                       for a in elements], name=name)
-
-
-def _hamilton(x, y):
-    a, b, c, d = x
-    e, f, g, h = y
-    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
-
-
 PEEL_GROUPS = {
     "S3": symmetric_group(3),
-    # r^i s^j, with s r = r^-1 s
-    "D4": _table_group([(i, j) for j in range(2) for i in range(4)],
-                       lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4,
-                                     x[1] ^ y[1]), "D4"),
-    # +-1, +-i, +-j, +-k as quaternions
-    "Q8": _table_group([tuple(s * (k == i) for k in range(4))
-                        for s in (1, -1) for i in range(4)], _hamilton, "Q8"),
+    "D4": D4,
+    "Q8": Q8,
     "S4": symmetric_group(4),
 }
 
@@ -232,6 +246,132 @@ class TestPeeled:
         assert resolution_for(make_cyclic(2), 2, engine="bar").engine == "bar"
         with pytest.raises(ValidationError):
             resolution_for(make_cyclic(2), 2, engine="mystery")
+
+
+def _reduced(prod, moduli):
+    # prod with its first len(moduli) rows reduced modulo the moduli
+    out = prod.copy()
+    out[:len(moduli)] %= np.array(moduli, dtype=object).reshape(-1, 1)
+    return out
+
+
+def reference_outside(f, moduli, x):
+    """The columns of x outside the quotient's lattice, read off the
+    object product reduced modulo the moduli."""
+    prod = _reduced(f.astype(object) @ x.astype(object), moduli)
+    return [j for j in range(x.shape[1]) if np.any(prod[:, j] != 0)]
+
+
+def reference_add(f, moduli, gens):
+    """SpanQuotient.add on Python ints throughout: (F, moduli) after
+    adding the columns of gens."""
+    f = f.astype(object)
+    k, t = f.shape[0], len(moduli)
+    torsion = zeros(k, t)
+    for i, p in enumerate(moduli):
+        torsion[i, i] = p
+    snf = smith_normal_form(
+        hstack([_reduced(f @ gens.astype(object), moduli), torsion]), need="u")
+    r = snf.rank
+    keep = [i for i in range(r) if snf.diagonal[i] != 1] + list(range(r, k))
+    new = [snf.diagonal[i] for i in keep if i < r]
+    return _reduced(snf.u[keep].astype(object) @ f, new), new
+
+
+def _first_from_each_start(outside, ncols):
+    return [next((j for j in outside if j >= start), None)
+            for start in range(ncols + 1)]
+
+
+def _first_outside_from_each_start(span, x):
+    return [span.first_outside(x, start) for start in range(x.shape[1] + 1)]
+
+
+def _as_ints(a):
+    return [[int(v) for v in row] for row in a]
+
+
+def _alternating(k, x):
+    # x, -x, x, ... over k entries, with a last 0 when k is odd: sums to 0
+    out = np.array([x if i % 2 == 0 else -x for i in range(k)], dtype=object)
+    if k % 2:
+        out[-1] = 0
+    return out
+
+
+def _guard_state(edge):
+    """(F, moduli, x): a quotient whose product F x sits at a guard of
+    matmul64, and columns x with verdicts both ways."""
+    if edge == "2^53-1":
+        # 6361 * 69431 * 20394401 == 2^53 - 1, reached by column 0's sums
+        k, a, b = 6361, 69431, 20394401
+        f = np.full((2, k), a, dtype=object)
+        x = np.stack([np.full(k, b, dtype=object), _alternating(k, b),
+                      np.zeros(k, dtype=object)], axis=1)
+        return f, [a], x
+    if edge == "2^53":
+        # 2 * 2^52 * 1: the first bound past the float64 tier
+        f = intmat([[1 << 52, 1 << 52], [1 << 52, -(1 << 52)]])
+        x = intmat([[1, 1, 1, 0], [1, -1, 0, 0]])
+        return f, [3], x
+    if edge == "2^53+1":
+        # 3 c = 2^53 + 1, which float64 would round to 2^53 and so read
+        # column 0 as inside: it is odd, and the torsion row's modulus is 2
+        c = ((1 << 53) + 1) // 3
+        f = intmat([[c, c, c], [c, -c, 0]])
+        x = intmat([[1, 1, 2], [1, 1, 0], [1, 0, 1]])
+        return f, [2], x
+    if edge == "past 2^63":
+        # 2 * 2^31 * (2^31 + 1) = 2^63 + 2^32: column 0's sums overflow int64
+        f = intmat([[1 << 31, 1 << 31], [1 << 31, -(1 << 31)]])
+        x = intmat([[(1 << 31) + 1, 1, 2, 0], [(1 << 31) + 1, -1, 1, 0]])
+        return f, [5], x
+    # a modulus of 2^63 + 1 and small F
+    f = intmat([[1, 2], [3, 4], [1, -1]])
+    x = intmat([[(1 << 62) + 1, 1, 2, 0], [(1 << 62), 1, -1, 0]])
+    return f, [(1 << 63) + 1, 6], x
+
+
+class TestSpanQuotientStorage:
+    EDGES = ["2^53-1", "2^53", "2^53+1", "past 2^63", "modulus past 2^63"]
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_guard_edges_match_the_object_product(self, edge):
+        f, moduli, x = _guard_state(edge)
+        span = SpanQuotient(f.shape[1])
+        span.f, span.moduli = narrow(f), narrow(np.array(moduli, dtype=object))
+        assert span.f.dtype == np.int64
+        if edge == "modulus past 2^63":
+            assert span.moduli.dtype == object
+        else:
+            assert span.moduli.dtype == np.int64
+            # the tier the product takes: float64 or int64, or none
+            assert (matmul64(span.f, narrow(x)) is None) == (edge == "past 2^63")
+        outside = reference_outside(f, moduli, x)
+        assert 0 < len(outside) < x.shape[1]
+        want = _first_from_each_start(outside, x.shape[1])
+        assert _first_outside_from_each_start(span, x) == want
+        assert _first_outside_from_each_start(span, narrow(x)) == want
+        want_f, want_moduli = reference_add(f, moduli, x[:, :1])
+        span.add(x[:, :1])
+        assert _as_ints(span.f) == _as_ints(want_f)
+        assert [int(p) for p in span.moduli] == want_moduli
+        for y in (x, -x):
+            assert _first_outside_from_each_start(span, y) == _first_from_each_start(
+                reference_outside(want_f, want_moduli, y), y.shape[1])
+
+    def test_the_canonical_s4_peel_keeps_f_on_int64(self, monkeypatch):
+        storage = []
+        original = SpanQuotient.add
+
+        def add(self, gens):
+            original(self, gens)
+            storage.append((self.f.dtype, self.moduli.dtype))
+
+        monkeypatch.setattr(resolutions.SpanQuotient, "add", add)
+        peeled_resolution(symmetric_group(4), 5)
+        assert storage
+        assert all(f == np.int64 and m == np.int64 for f, m in storage)
 
 
 class TestComplete:
