@@ -4,8 +4,9 @@
 over inner dimension k, on int64 when it is below 2^63, and on Python
 ints otherwise.  Whichever side of those guards a product falls on, it
 must equal object ``@`` entry for entry and hold Python ints.
-``matmul64``, the guarded tiers on their own, returns int64 or declines.  ``LatticeSolver`` uses its factors on the storage the
-elimination returned them on; solves through int64 factors and through
+``matmul64``, the guarded tiers on their own, returns int64 or declines.
+``LatticeSolver`` uses its factors on the storage the elimination
+returned them on; solves through int64 factors and through
 factors too wide for int64 must both match the per-column reference of
 ``test_solve``.
 """
