@@ -89,12 +89,6 @@ def cochain_differential(M: GModule, k: int):
     return d
 
 
-def _slot_relators(M: GModule, slots: int):
-    if M.relators.shape[1] == 0:
-        return zeros(slots * M.gens, 0)
-    return block_diag([M.relators] * slots) if slots else zeros(0, 0)
-
-
 def cochain_cohomology(M: GModule, q: int) -> AbGroup:
     """H^q(G, M) from the standard cochain complex; intended for q in {1, 2}.
 
@@ -106,8 +100,8 @@ def cochain_cohomology(M: GModule, q: int) -> AbGroup:
     n = M.group.order
     d_out = cochain_differential(M, q)
     d_in = cochain_differential(M, q - 1)
-    rel_next = _slot_relators(M, n ** (q + 1))
-    rel_here = _slot_relators(M, n**q)
+    rel_next = block_diag([M.relators] * n ** (q + 1))
+    rel_here = block_diag([M.relators] * n**q)
     num = preimage_lattice(d_out, rel_next)
     den = hstack([d_in, rel_here])
     return Subquotient(num, den).group

@@ -614,13 +614,18 @@ def _apply_overrides(document: dict, args) -> dict:
 
 
 def _load_document(path: str) -> dict:
+    # JSON text is UTF-8 (RFC 8259), whatever the locale says
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:
         raise _Usage("cannot read %s: %s" % (path, e))
+    except UnicodeDecodeError as e:
+        raise ParseError("%s: not UTF-8 text (%s)" % (path, e))
     except json.JSONDecodeError as e:
         raise ParseError("%s: not valid JSON (%s)" % (path, e))
+    except RecursionError:
+        raise ParseError("%s: JSON nested too deeply to read" % path)
 
 
 def _emit(report: dict, fmt: str):

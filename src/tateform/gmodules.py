@@ -225,11 +225,7 @@ def fixed_points_subquotient(M: GModule) -> Subquotient:
     if not blocks_a:
         fixed = LatticeSolver(eye(M.gens))
     else:
-        stacked_a = vstack(blocks_a)
-        stacked_r = zeros(stacked_a.shape[0], 0)
-        if any(b.shape[1] for b in blocks_r):
-            stacked_r = block_diag(blocks_r)
-        fixed = preimage_lattice(stacked_a, stacked_r)
+        fixed = preimage_lattice(vstack(blocks_a), block_diag(blocks_r))
     return Subquotient(fixed, M.relators)
 
 

@@ -4,7 +4,10 @@ A group of order n is a full n x n table over element ids 0..n-1.  At the
 orders this package works with (24 by default, see DEFAULT_ORDER_CAP)
 tables make validation, subgroup enumeration, cosets and abelianization
 all cheap exact computations, and they remove any dependence on how a
-group happens to be presented.
+group happens to be presented.  Both things the formation search needs
+are read straight off the table: a subgroup is the set that right
+multiplication by its generators reaches from the identity, and G^ab is
+the cokernel of the table's relations e_a + e_b - e_ab.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class FiniteGroup:
     3
     """
 
-    __slots__ = ("order", "table", "identity", "name", "_inverse", "_subgroup_memo",
+    __slots__ = ("order", "table", "identity", "name", "_inverse",
                  "_abelianization", "_subgroups")
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G"):
@@ -56,7 +59,6 @@ class FiniteGroup:
         self.table = tuple(rows)
         self.order = n
         self.name = name
-        self._subgroup_memo = {}
 
         identity = None
         for e in range(n):
@@ -127,18 +129,20 @@ class FiniteGroup:
         return self.cyclic_generator() is not None
 
     def closure(self, seed: Iterable[int]) -> frozenset:
-        """Subgroup generated by ``seed`` (finite, so products suffice)."""
-        cur = {self.identity, *seed}
-        frontier = list(cur)
-        while frontier:
-            new = []
-            for a in list(cur):
-                for b in frontier:
-                    for x in (self.table[a][b], self.table[b][a]):
-                        if x not in cur:
-                            cur.add(x)
-                            new.append(x)
-            frontier = new
+        """Subgroup generated by ``seed``: the identity grown by right
+        multiplication with the seed.  In a finite group the monoid a set
+        generates is the subgroup it generates, so no inverses or left
+        products are needed."""
+        gens = tuple(set(seed))
+        cur = {self.identity}
+        stack = [self.identity]
+        while stack:
+            row = self.table[stack.pop()]
+            for g in gens:
+                x = row[g]
+                if x not in cur:
+                    cur.add(x)
+                    stack.append(x)
         return frozenset(cur)
 
     def is_normal_subset(self, elements: Iterable[int]) -> bool:
@@ -173,26 +177,6 @@ class Subgroup:
 
     def is_whole_group(self) -> bool:
         return self.order == self.parent.order
-
-    def as_group(self) -> tuple[FiniteGroup, tuple]:
-        """The subgroup as a standalone FiniteGroup plus the embedding.
-
-        The second component lists, for each new element id, the parent id
-        it came from.  Results are memoized on the parent so repeated calls
-        hand back the identical FiniteGroup object; downstream identity
-        checks (module and complex validation) rely on that.
-        """
-        memo = self.parent._subgroup_memo
-        if self.elements in memo:
-            return memo[self.elements]
-        pos = {g: i for i, g in enumerate(self.elements)}
-        table = [
-            [pos[self.parent.mul(a, b)] for b in self.elements] for a in self.elements
-        ]
-        name = f"{self.parent.name}|sub{list(self.elements)}"
-        result = (FiniteGroup(table, name=name), self.elements)
-        memo[self.elements] = result
-        return result
 
     def __repr__(self) -> str:
         tag = "normal" if self.is_normal else "not normal"
@@ -313,57 +297,60 @@ def right_transversal(G: FiniteGroup, H: Subgroup) -> list:
     return [G.inv(r) for r in coset_representatives(G, H)]
 
 
-def quotient_group(G: FiniteGroup, V: Subgroup) -> tuple[FiniteGroup, tuple]:
-    """G/V for normal V, with the projection id map (identity coset = 0)."""
-    if not V.is_normal:
-        raise ValidationError("quotient by a non-normal subgroup")
-    reps = coset_representatives(G, V)
-    proj = [None] * G.order
-    for k, r in enumerate(reps):
-        for h in V.elements:
-            proj[G.mul(r, h)] = k
-    table = [[proj[G.mul(a, b)] for b in reps] for a in reps]
-    return FiniteGroup(table, name=f"{G.name}/V"), tuple(proj)
+def _relator_cokernel(G: FiniteGroup, label: Sequence, right: Sequence | None = None):
+    """Cokernel of the relators e_x + e_y - e_xy on the classes of
+    ``label`` (element id -> key), with each element's coordinates.
 
-
-def commutator_subgroup(G: FiniteGroup) -> Subgroup:
-    comms = {
-        G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
-        for a in range(G.order)
-        for b in range(G.order)
-    }
-    elems = tuple(sorted(G.closure(comms)))
-    return Subgroup(G, elems, True)
+    Classes are numbered identity first, then by least id, as
+    coset_representatives numbers cosets.  x runs over one element per
+    class, and y over the same or over ``right`` when given.
+    """
+    row, reps = {}, []
+    for g in [G.identity, *range(G.order)]:
+        if label[g] not in row:
+            row[label[g]] = len(reps)
+            reps.append(g)
+    right = reps if right is None else right
+    rel = zeros(len(reps), len(reps) * len(right))
+    col = 0
+    for a in reps:
+        for b in right:
+            rel[row[label[a]], col] += 1
+            rel[row[label[b]], col] += 1
+            rel[row[label[G.mul(a, b)]], col] -= 1
+            col += 1
+    ab = cokernel_structure(rel)
+    # the class of e_g is a column of the reduce map
+    return ab, tuple(ab.reduce_coords(ab.reduce_map[:, row[label[g]]])
+                     for g in range(G.order))
 
 
 def abelianization(G: FiniteGroup) -> tuple[AbGroup, tuple]:
-    """G/[G,G] in invariant-factor form, plus per-element coordinates.
+    """G^ab in invariant-factor form, plus per-element coordinates.
 
-    The quotient group Q = G/[G,G] is presented as an abelian group on one
-    generator e_x per element x of Q with relators e_x + e_y - e_{xy}; the
-    cokernel of that relator matrix is exactly Q.  The second return value
-    maps each element id of G to the canonical coordinates of its class.
-    The result is kept on G, so each group object is abelianized once.
+    G^ab is the cokernel of the relators e_a + e_b - e_ab over G's
+    elements (a = b = identity kills the identity's generator), written
+    on one generator per class of G^ab.  The canonical basis depends on
+    the matrix eliminated, so that matrix is always the one on the
+    classes, as the quotient table G/[G, G] would give it.  Each element
+    of an abelian G is its own class.  For a non-abelian G the classes,
+    the cosets of [G, G], are read off a first cokernel: the relators
+    e_a + e_s - e_as over a generating set s already present G^ab, since
+    every element is a positive word in the set.  The second return
+    value maps each element id g to the canonical coordinates of its
+    class.  The result is kept on G, so each group object is abelianized
+    once.
     """
     memo = getattr(G, "_abelianization", None)
     if memo is not None:
         return memo
-    D = commutator_subgroup(G)
-    Q, proj_q = quotient_group(G, D)
-    m = Q.order
-    rel = zeros(m, m * m)
-    col = 0
-    for i in range(m):
-        for j in range(m):
-            rel[i, col] += 1
-            rel[j, col] += 1
-            rel[Q.mul(i, j), col] -= 1
-            col += 1
-    ab = cokernel_structure(rel)
-    coords = []
-    for g in range(G.order):
-        v = zeros(m, 1)[:, 0]
-        v[proj_q[g]] = 1
-        coords.append(ab.classify(v))
-    G._abelianization = (ab, tuple(coords))
+    label = range(G.order)
+    if not G.is_abelian():
+        gens, reached = [], {G.identity}
+        for g in label:
+            if g not in reached:
+                gens.append(g)
+                reached = G.closure(gens)
+        label = _relator_cokernel(G, label, gens)[1]
+    G._abelianization = _relator_cokernel(G, label)
     return G._abelianization

@@ -1,12 +1,18 @@
 """Test-only routes kept out of the package: the gcd-of-minors oracle
-for invariant factors, homology of a two-map complex, and a module
-restricted to a subgroup's own table.
+for invariant factors, homology of a two-map complex, a subgroup as a
+standalone group, a module restricted to a subgroup's own table, and
+G^ab the long way, through [G, G] and the quotient table.
 
 ``gcd_minors_diagonal`` shares no code with ``smith_normal_form``, so it
 is an independent check of its diagonal.  ``homology_at`` solves on a
 kernel basis of ``d_out`` and checks d_out d_in = 0 first.
-``restrict_module`` views a presentation over the subgroup's own table,
-through the checking ``GModule`` constructor.
+``as_group`` builds a subgroup's own table, and ``restrict_module`` views
+a presentation over it through the checking ``GModule`` constructor.
+``commutator_subgroup`` and ``quotient_group`` build G/[G, G] as a
+validated group, an independent route to the cokernel that
+``groups.abelianization`` reads off G's table; ``coset_abelianization``
+presents that quotient table on its cosets, so its invariants, maps and
+coordinates must equal ``groups.abelianization``'s entry for entry.
 """
 
 from itertools import combinations
@@ -14,16 +20,22 @@ from math import gcd
 
 from tateform.errors import ValidationError
 from tateform.gmodules import GModule
-from tateform.groups import Subgroup
+from tateform.groups import (
+    FiniteGroup,
+    Subgroup,
+    coset_representatives,
+)
 from tateform.intlinalg import (
     AbGroup,
     ExactnessError,
     IntMatrix,
     LatticeSolver,
     Subquotient,
+    cokernel_structure,
     is_zero,
     kernel_basis,
     matmul,
+    zeros,
 )
 
 
@@ -88,10 +100,75 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> AbGroup:
     return Subquotient(LatticeSolver(kernel_basis(d_out)), d_in).group
 
 
+_AS_GROUP = {}
+
+
+def as_group(H: Subgroup) -> tuple[FiniteGroup, tuple]:
+    """The subgroup as a standalone FiniteGroup plus the embedding.
+
+    The second component lists, for each new element id, the parent id
+    it came from.  Results are memoized by (parent, elements), so repeated
+    calls hand back the identical FiniteGroup object and identity checks
+    against it (``Y.group is as_group(H)[0]``) hold.
+    """
+    key = (H.parent, H.elements)
+    if key not in _AS_GROUP:
+        pos = {g: i for i, g in enumerate(H.elements)}
+        table = [[pos[H.parent.mul(a, b)] for b in H.elements]
+                 for a in H.elements]
+        name = f"{H.parent.name}|sub{list(H.elements)}"
+        _AS_GROUP[key] = (FiniteGroup(table, name=name), H.elements)
+    return _AS_GROUP[key]
+
+
+def quotient_group(G: FiniteGroup, V: Subgroup) -> tuple[FiniteGroup, tuple]:
+    """G/V for normal V, with the projection id map (identity coset = 0)."""
+    if not V.is_normal:
+        raise ValidationError("quotient by a non-normal subgroup")
+    reps = coset_representatives(G, V)
+    proj = [None] * G.order
+    for k, r in enumerate(reps):
+        for h in V.elements:
+            proj[G.mul(r, h)] = k
+    table = [[proj[G.mul(a, b)] for b in reps] for a in reps]
+    return FiniteGroup(table, name=f"{G.name}/V"), tuple(proj)
+
+
+def commutator_subgroup(G: FiniteGroup) -> Subgroup:
+    """[G, G]: the closure of every commutator a b a^-1 b^-1."""
+    comms = {
+        G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
+        for a in range(G.order)
+        for b in range(G.order)
+    }
+    return Subgroup(G, tuple(sorted(G.closure(comms))), True)
+
+
+def coset_abelianization(G: FiniteGroup) -> tuple[AbGroup, tuple]:
+    """G^ab the long way: G/[G, G] as a validated group, presented on one
+    generator e_x per coset with relators e_x + e_y - e_xy, and each
+    element classified by its coset's generator."""
+    Q, proj = quotient_group(G, commutator_subgroup(G))
+    m = Q.order
+    rel = zeros(m, m * m)
+    for i in range(m):
+        for j in range(m):
+            rel[i, i * m + j] += 1
+            rel[j, i * m + j] += 1
+            rel[Q.mul(i, j), i * m + j] -= 1
+    ab = cokernel_structure(rel)
+    coords = []
+    for g in range(G.order):
+        v = zeros(m, 1)[:, 0]
+        v[proj[g]] = 1
+        coords.append(ab.classify(v))
+    return ab, tuple(coords)
+
+
 def restrict_module(M: GModule, H: Subgroup) -> GModule:
     """The same presentation viewed over the subgroup's own table."""
     if H.parent is not M.group:
         raise ValidationError("subgroup belongs to a different group")
-    Hgrp, embed = H.as_group()
+    Hgrp, embed = as_group(H)
     action = [M.act(embed[i]) for i in range(Hgrp.order)]
     return GModule(Hgrp, M.relators, action, name=f"res({M.name})")

@@ -19,14 +19,14 @@ from tateform.groups import coset_representatives, right_transversal
 from tateform.intlinalg import zeros
 from tateform.resolutions import FreeResolution, complete_resolution
 
-from reference import restrict_module
+from reference import as_group, restrict_module
 
 
 def relabel(G, H, gen):
     """The H-generator matrix of the G-map with generator matrix gen:
     column a t + k is column a translated by g_k, its rows relabeled
     into the H-layout."""
-    Hgrp, embed = H.as_group()
+    Hgrp, embed = as_group(H)
     m, n = Hgrp.order, G.order
     transversal = right_transversal(G, H)
     t = len(transversal)
@@ -49,7 +49,7 @@ def subgroup_resolution(X, H):
     docstring).  The augmentation is constant on each generator's block
     of |G| entries, so X's own row serves."""
     res = X.res
-    Hgrp, _ = H.as_group()
+    Hgrp, _ = as_group(H)
     dgens = [None] + [relabel(X.group, H, res.d_gen(i))
                       for i in range(1, len(res.ranks))]
     return complete_resolution(FreeResolution(
@@ -58,7 +58,7 @@ def subgroup_resolution(X, H):
 
 def restricted(C, H):
     """C with every term viewed over H, each one checked again."""
-    Hgrp, _ = H.as_group()
+    Hgrp, _ = as_group(H)
     return GComplex(Hgrp, C.lo,
                     [restrict_module(C.term(j), H) for j in C.degrees()],
                     [C.diff(j) for j in range(C.lo, C.hi)], name=C.name)

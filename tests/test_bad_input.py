@@ -186,6 +186,28 @@ def test_oversized_work_is_refused_up_front(tmp_path, name):
     assert "Traceback" not in proc.stderr
 
 
+# Files the JSON reader itself cannot take: not UTF-8 (JSON text is UTF-8
+# by RFC 8259, whatever the locale), or nested past the decoder's
+# recursion limit.  Both are document problems, so exit 1.
+UNREADABLE = {
+    "leading-0xff": b"\xff{}",
+    "200000-nested-arrays": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("verb", ["run", "validate"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_document_is_a_parse_error(tmp_path, name, verb):
+    p = tmp_path / "doc.json"
+    p.write_bytes(UNREADABLE[name])
+    proc = subprocess.run(
+        [sys.executable, "-m", "tateform", verb, str(p)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("parse error: %s: " % p)
+    assert "Traceback" not in proc.stderr
+
+
 @settings(max_examples=300, deadline=None)
 @given(mutations())
 @example((COMPLEX, RELATORS, None))

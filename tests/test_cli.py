@@ -13,9 +13,11 @@ import pytest
 from tateform.cli import main, parse_scenario, run_scenario, serialize_scenario
 from tateform import scenarios
 from tateform.errors import ParseError
-from tateform.groups import symmetric_group
+from tateform.groups import make_cyclic, symmetric_group
 from tateform.scenarios import bundled_document, bundled_names
 from tateform.tate import TOTAL_DIM_CAP
+
+from test_differential import relabel
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -376,6 +378,25 @@ class TestRunVerb:
             analyses=[{"kind": "tate", "range": [0, 0]}])
         report = run_scenario(parse_scenario(doc))
         assert report["results"][0]["rows"][0]["invariants"] == [4]
+
+
+def test_reciprocity_matrix_of_a_retyped_table(tmp_path):
+    # Z/24 typed in with its identity at id 15: the reciprocity matrix is
+    # printed in the canonical basis of the coset presentation of G^ab
+    G = relabel(make_cyclic(24), 2)
+    assert G.identity != 0
+    path = tmp_path / "z24.json"
+    path.write_text(json.dumps(minimal_doc(
+        group={"kind": "table", "table": [list(r) for r in G.table]},
+        options={"window": 4})))
+    code, out, _ = invoke(["run", str(path), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["results"][0]["reciprocity"] == {
+        "isomorphism": True, "matrix": [[253]], "source": [24],
+        "target": [24]}
+    code, out, _ = invoke(["run", str(path)])
+    assert code == 0
+    assert "  reciprocity Z/24 -> Z/24: isomorphism, matrix [[253]]\n" in out
 
 
 def test_console_script_is_wired():

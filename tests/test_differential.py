@@ -51,11 +51,17 @@ GROUPS = {
 SEEDS = range(6)
 
 
-def relabel(G, seed):
-    """G with element a renamed perm[a], perm a seeded shuffle of the ids."""
-    n = G.order
+def shuffled_ids(n, seed):
+    """The seeded shuffle of 0..n-1 that ``relabel`` renames by."""
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
+    return perm
+
+
+def relabel(G, seed):
+    """G with element a renamed perm[a], perm = shuffled_ids(|G|, seed)."""
+    n = G.order
+    perm = shuffled_ids(n, seed)
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):

@@ -22,10 +22,8 @@ from tateform.gmodules import finite_field_units, regular_module, zmodule
 from tateform.groups import (
     abelianization,
     all_subgroups,
-    commutator_subgroup,
     direct_product,
     make_cyclic,
-    quotient_group,
     symmetric_group,
 )
 from tateform.resolutions import (
@@ -39,6 +37,9 @@ from tateform.tate import (
     coinduced,
     restriction_blocks,
 )
+
+from reference import commutator_subgroup, quotient_group
+from test_groups import RELABELINGS
 
 _cache = {}
 
@@ -321,14 +322,15 @@ def test_formation_and_norm_table_abelianize_once(monkeypatch):
     from tateform import groups
     from tateform.cli import parse_scenario, run_scenario
 
+    # G^ab is one elimination of Z/12's 12 x 144 relator matrix
     calls = []
-    commutators = groups.commutator_subgroup
+    cokernel = groups.cokernel_structure
 
-    def counted(G):
-        calls.append(G.order)
-        return commutators(G)
+    def counted(a):
+        calls.append(a.shape)
+        return cokernel(a)
 
-    monkeypatch.setattr(groups, "commutator_subgroup", counted)
+    monkeypatch.setattr(groups, "cokernel_structure", counted)
     doc = {"name": "z12", "group": {"kind": "cyclic", "n": 12},
            "coefficients": {"kind": "trivial"},
            "analyses": [{"kind": "formation"}, {"kind": "norm-table"}],
@@ -336,18 +338,18 @@ def test_formation_and_norm_table_abelianize_once(monkeypatch):
     report = run_scenario(parse_scenario(doc))
     assert [(r["analysis"], r["verdict"]) for r in report["results"]] == [
         ("formation", "PASS"), ("norm-table", "ok")]
-    assert calls == [12]
+    assert calls == [(12, 144)]
 
 
 _C2 = make_cyclic(2)
 
 
 @pytest.mark.parametrize("G", [
-    symmetric_group(3),
-    symmetric_group(4),
-    direct_product(_C2, make_cyclic(4)),
-    direct_product(_C2, direct_product(_C2, _C2)),
-], ids=["S3", "S4", "C2xC4", "C2^3"])
+    pytest.param(symmetric_group(3), id="S3"),
+    pytest.param(symmetric_group(4), id="S4"),
+    pytest.param(direct_product(_C2, make_cyclic(4)), id="C2xC4"),
+    pytest.param(direct_product(_C2, direct_product(_C2, _C2)), id="C2^3"),
+    *(pytest.param(G, id=k) for k, G in RELABELINGS.items())])
 def test_quotient_abelianization_matches_quotient_group(G):
     abG, coords = abelianization(G)
     D = commutator_subgroup(G).elements

@@ -14,19 +14,54 @@ from tateform.errors import CapExceeded, ValidationError
 from tateform.groups import (
     abelianization,
     all_subgroups,
-    commutator_subgroup,
     conjugacy_representatives,
     coset_representatives,
     direct_product,
     from_table,
     make_cyclic,
-    quotient_group,
     right_transversal,
     subgroup,
     symmetric_group,
     trivial_subgroup,
     whole_subgroup,
 )
+
+from reference import (
+    as_group,
+    commutator_subgroup,
+    coset_abelianization,
+    quotient_group,
+)
+from test_differential import D4, Q8, relabel, shuffled_ids
+
+_C2 = make_cyclic(2)
+# groups retyped under seeded shuffles of their ids (seeds 0-2), so
+# closure and G^ab cannot lean on the canonical order of the elements
+RELABELED = {
+    "C2xC6": direct_product(_C2, make_cyclic(6)),
+    "D4": D4,
+    "Q8": Q8,
+    "S4": symmetric_group(4),
+}
+RELABEL_SEEDS = range(3)
+RELABELINGS = {"%s-r%d" % (name, seed): relabel(G, seed)
+               for name, G in RELABELED.items() for seed in RELABEL_SEEDS}
+# abelian and non-abelian tables, canonical and retyped at seeds 0-3 (the
+# identity moves off id 0), whose G^ab coordinates reports print
+COSET_GROUPS = {
+    "Z1": make_cyclic(1),
+    "Z24": make_cyclic(24),
+    "C2xC2": direct_product(_C2, _C2),
+    "C2xC6": RELABELED["C2xC6"],
+    "S3": symmetric_group(3),
+    "S3xC2": direct_product(symmetric_group(3), _C2),
+    "D4": D4,
+    "Q8": Q8,
+    "S4": RELABELED["S4"],
+}
+COSET_CASES = dict(COSET_GROUPS)
+COSET_CASES.update({"%s-r%d" % (name, seed): relabel(G, seed)
+                    for name, G in COSET_GROUPS.items() for seed in range(4)})
 
 
 def s3_table_from_permutations():
@@ -198,6 +233,32 @@ class TestSubgroups:
             reps = conjugacy_representatives(G, subs)
             assert all(reps[s.elements] is s for s in subs)
 
+    @pytest.mark.parametrize("seed", RELABEL_SEEDS)
+    @pytest.mark.parametrize("name", sorted(RELABELED))
+    def test_subgroups_follow_a_relabeling(self, name, seed):
+        # the relabeled group's list is the image of the canonical list,
+        # element for element, with the same normality and the same
+        # partition into conjugacy classes
+        G = RELABELED[name]
+        perm = shuffled_ids(G.order, seed)
+        H = relabel(G, seed)
+        subs_G, subs_H = all_subgroups(G), all_subgroups(H)
+        image = {s.elements: tuple(sorted(perm[g] for g in s.elements))
+                 for s in subs_G}
+        assert [(s.elements, s.is_normal) for s in subs_H] == sorted(
+            ((image[s.elements], s.is_normal) for s in subs_G),
+            key=lambda e: (len(e[0]), e[0]))
+
+        def classes(K, subs, rename=lambda e: e):
+            reps = conjugacy_representatives(K, subs)
+            by_rep = {}
+            for s in subs:
+                by_rep.setdefault(reps[s.elements].elements, set()).add(
+                    rename(s.elements))
+            return {frozenset(c) for c in by_rep.values()}
+
+        assert classes(H, subs_H) == classes(G, subs_G, image.__getitem__)
+
     def test_subgroup_closure_validated(self):
         with pytest.raises(ValidationError, match="closed"):
             subgroup(make_cyclic(4), [0, 1])
@@ -205,7 +266,7 @@ class TestSubgroups:
     def test_as_group_roundtrip(self):
         G = make_cyclic(6)
         H = subgroup(G, [0, 2, 4])
-        Hg, embed = H.as_group()
+        Hg, embed = as_group(H)
         assert Hg.order == 3
         for a in range(3):
             for b in range(3):
@@ -283,7 +344,8 @@ class TestQuotientAndAbelianization:
 
     def test_projection_is_homomorphism(self):
         for G in (make_cyclic(6), symmetric_group(3),
-                  direct_product(make_cyclic(2), make_cyclic(4))):
+                  direct_product(make_cyclic(2), make_cyclic(4)),
+                  *RELABELINGS.values()):
             ab, coords = abelianization(G)
             for a in G.elements:
                 for b in G.elements:
@@ -292,9 +354,23 @@ class TestQuotientAndAbelianization:
                     )
                     assert got == coords[G.mul(a, b)]
 
+    @pytest.mark.parametrize("name", sorted(COSET_CASES))
+    def test_abelianization_matches_the_coset_presentation(self, name):
+        # G^ab's canonical basis depends on the matrix eliminated, and the
+        # reciprocity matrix is printed in it: the table route must give
+        # the coset presentation's group, maps and coordinates exactly
+        G = COSET_CASES[name]
+        ab, coords = abelianization(G)
+        ref, ref_coords = coset_abelianization(G)
+        assert ab.invariants() == ref.invariants()
+        assert ab.basis_lift.tolist() == ref.basis_lift.tolist()
+        assert ab.reduce_map.tolist() == ref.reduce_map.tolist()
+        assert coords == ref_coords
+
     def test_order_product_law(self):
         for G in (make_cyclic(6), symmetric_group(3), symmetric_group(4),
-                  direct_product(make_cyclic(2), make_cyclic(2))):
+                  direct_product(make_cyclic(2), make_cyclic(2)),
+                  *RELABELINGS.values()):
             ab, _ = abelianization(G)
             assert ab.order() * commutator_subgroup(G).order == G.order
 

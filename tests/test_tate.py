@@ -50,6 +50,7 @@ from tateform.tate import (
     tate_nakayama_check,
 )
 
+from reference import as_group
 from subgroup_reference import restricted, subgroup_resolution
 
 _cache = {}
@@ -307,7 +308,7 @@ class TestRestrictionCorestriction:
         G, X = setup()
         for H in all_subgroups(G):
             Y = subgroup_resolution(X, H)
-            assert Y.group is H.as_group()[0]
+            assert Y.group is as_group(H)[0]
             assert Y.window == X.window
             for q in range(-X.window, X.window):
                 assert Y.rank(q) == X.rank(q) * H.index
