@@ -14,7 +14,10 @@ separately.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import CapExceeded, ValidationError
 from .groups import FiniteGroup, make_cyclic
@@ -87,11 +90,16 @@ class GModule:
     def act(self, g: int) -> IntMatrix:
         return self.action[g]
 
-    def act_blocks(self, g: int) -> list:
-        """act(g) as (row, column, matrix) blocks, offsets in coordinates,
-        covering its nonzero entries: one block here, one per coset on a
-        coinduced module (tate.coinduced)."""
-        return [(0, 0, self.action[g])]
+    @cached_property
+    def pattern(self) -> tuple:
+        """The action as coordinate lists, built once: act(g) holds
+        vals[g, k] at (rows[g, k], cols[g, k]), k listing its nonzero
+        entries and then zero ones up to the longest list.  A coinduced
+        module (tate.coinduced) lays its base's lists out coset by coset."""
+        A = np.stack(self.action).reshape(len(self.action), -1)
+        order = np.argsort(A == 0, axis=1, kind="stable")
+        order = order[:, :np.count_nonzero(A, axis=1).max()]
+        return (*np.divmod(order, self.gens), np.take_along_axis(A, order, 1))
 
     @property
     def is_zero(self) -> bool:

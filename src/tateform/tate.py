@@ -19,6 +19,7 @@ abelianization, the Tate-Nakayama hypothesis checker, the multiplication
 cone order bookkeeping, and diagonal approximations for cyclic groups.
 """
 
+from functools import cached_property
 from math import gcd
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -101,6 +102,27 @@ def _add_per_generator(out: IntMatrix, dst: HomBlock, src: HomBlock,
         src.offset:src.offset + src.dim] += block_diag([coeff] * copies)
 
 
+def _add_precomposed(out: IntMatrix, dst: HomBlock, src: HomBlock,
+                     dgen: IntMatrix, pattern: tuple, sign: int) -> None:
+    """Add sign * (f -> f o d) to the (dst, src) block of out, d with
+    generator matrix dgen: nonzero (a |G| + tau, c) adds its value times
+    act(tau), from GModule.pattern, at generator c of dst and a of src.
+    Positions repeat across tau, so one accumulating scatter places them,
+    over chunks of at most the block's cells or dgen's, whichever is more
+    (a 1 x 1 block of Z takes the |G| nonzeros of a norm column)."""
+    rows_e, cols_e, vals_e = pattern
+    n, z = vals_e.shape
+    rows, cols = np.nonzero(dgen)
+    vals = sign * dgen[rows, cols]
+    a, tau = np.divmod(rows, n)
+    r0, c0 = dst.offset + cols * dst.gens, src.offset + a * src.gens
+    step = max(1, max(dst.dim * src.dim, dgen.size) // max(1, z))
+    for lo in range(0, len(vals), step):
+        s, t = slice(lo, lo + step), tau[lo:lo + step]
+        np.add.at(out, (r0[s, None] + rows_e[t], c0[s, None] + cols_e[t]),
+                  vals[s, None] * vals_e[t])
+
+
 class TotalComplex:
     """Degrees [qlo-1, qhi+1] of the total Hom complex, with differentials
     on [qlo-1, qhi] and a d o d = 0 audit (mod coefficient relators) over
@@ -147,7 +169,6 @@ class TotalComplex:
         self._audit()
 
     def _assemble(self, q: int) -> IntMatrix:
-        n = self.X.group.order
         src = self.blocks[q]
         dst_by_j = {b.j: b for b in self.blocks[q + 1]}
         D = zeros(self.dim[q + 1], self.dim[q])
@@ -162,16 +183,8 @@ class TotalComplex:
             # horizontal: precompose with the resolution differential
             tgt = dst_by_j.get(b.j)
             if tgt is not None and tgt.gens:
-                dgen = self.X.diff_gen(b.s - 1)
-                acts = [self.C.term(b.j).act_blocks(t) for t in range(n)]
-                g = b.gens
-                for row, col in zip(*np.nonzero(dgen)):
-                    a, tau = divmod(int(row), n)
-                    val = hsign * dgen[row, col]
-                    r0, c0 = tgt.offset + col * g, b.offset + a * g
-                    for r, c, A in acts[tau]:
-                        D[r0 + r:r0 + r + A.shape[0],
-                          c0 + c:c0 + c + A.shape[1]] += val * A
+                _add_precomposed(D, tgt, b, self.X.diff_gen(b.s - 1),
+                                 self.C.term(b.j).pattern, hsign)
         return D
 
     def _audit(self) -> None:
@@ -364,17 +377,16 @@ def _placed(M: GModule, pairs: Sequence[Tuple[int, int]],
 
 class _CoinducedModule(GModule):
     """A term CoInd_H^G Res_H M, |G:H| blocks of M, whose action is kept
-    as the pairs (i, h) with g_k x = h g_i, one per block k: the total
-    complex places M.act(h) blocks, and act lays a matrix out when asked.
-    The laws follow from M's, which were checked, so they are not checked
-    again."""
+    as the pairs _pairs[x, k] = (i, h) with g_k x = h g_i: block k of x is
+    M.act(h) in column block i.  The pattern reads them, and act lays a
+    matrix out when asked.  The laws follow from M's, which were checked,
+    so they are not checked again."""
 
     def __init__(self, M: GModule, split: list, transversal: list):
         G, t = M.group, len(transversal)
         self.group, self.base, self.name = G, M, "coind(%s)" % M.name
         self.relators, self.gens = block_diag([M.relators] * t), M.gens * t
-        self._pairs = [[split[G.mul(gk, x)] for gk in transversal]
-                       for x in G.elements]
+        self._pairs = np.array(split)[np.asarray(G.table)[transversal].T]
 
     @property
     def action(self) -> tuple:
@@ -383,10 +395,14 @@ class _CoinducedModule(GModule):
     def act(self, g: int) -> IntMatrix:
         return _placed(self.base, self._pairs[g], len(self._pairs[g]))
 
-    def act_blocks(self, g: int) -> list:
-        m = self.base.gens
-        return [(k * m, i * m, self.base.act(h))
-                for k, (i, h) in enumerate(self._pairs[g])]
+    @cached_property
+    def pattern(self) -> tuple:
+        """M's coordinate lists, placed block by block by the pairs."""
+        rows, cols, vals = self.base.pattern
+        i, h = self._pairs[..., 0, None], self._pairs[..., 1]
+        n, t, m = len(h), h.shape[1], self.base.gens
+        return ((np.arange(t)[:, None] * m + rows[h]).reshape(n, -1),
+                (i * m + cols[h]).reshape(n, -1), vals[h].reshape(n, -1))
 
 
 class _CoinducedComplex(GComplex):

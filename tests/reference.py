@@ -13,10 +13,15 @@ validated group, an independent route to the cokernel that
 ``groups.abelianization`` reads off G's table; ``coset_abelianization``
 presents that quotient table on its cosets, so its invariants, maps and
 coordinates must equal ``groups.abelianization``'s entry for entry.
+``loop_assemble`` builds a total-complex differential one nonzero of the
+resolution's generator matrix at a time, with each coefficient term's
+full action matrices, apart from the scatter ``TotalComplex`` makes.
 """
 
 from itertools import combinations
 from math import gcd
+
+import numpy as np
 
 from tateform.errors import ValidationError
 from tateform.gmodules import GModule
@@ -172,3 +177,33 @@ def restrict_module(M: GModule, H: Subgroup) -> GModule:
     Hgrp, embed = as_group(H)
     action = [M.act(embed[i]) for i in range(Hgrp.order)]
     return GModule(Hgrp, M.relators, action, name=f"res({M.name})")
+
+
+def loop_assemble(total, q: int) -> IntMatrix:
+    """The differential total.diff[q], one slice-add per generator for
+    the coefficient differential and one per nonzero (a |G| + tau, c) of
+    the resolution's generator matrix, which adds its value times
+    act(tau) at generator c of the target block and a of the source
+    block, with the sign -(-1)^q."""
+    X, C = total.X, total.C
+    n = X.group.order
+    out = zeros(total.dim[q + 1], total.dim[q])
+    hsign = -1 if q % 2 == 0 else 1
+    dst_by_j = {b.j: b for b in total.blocks[q + 1]}
+    for b in total.blocks[q]:
+        g = b.gens
+        tgt = dst_by_j.get(b.j + 1)
+        if g and tgt is not None and tgt.gens:
+            h = tgt.gens
+            for a in range(b.rank):
+                out[tgt.offset + a * h:tgt.offset + (a + 1) * h,
+                    b.offset + a * g:b.offset + (a + 1) * g] += C.diff(b.j)
+        tgt = dst_by_j.get(b.j)
+        if g and tgt is not None:
+            dgen = X.diff_gen(b.s - 1)
+            acts = [C.term(b.j).act(t) for t in range(n)]
+            for row, col in zip(*np.nonzero(dgen)):
+                a, tau = divmod(int(row), n)
+                r0, c0 = tgt.offset + col * g, b.offset + a * g
+                out[r0:r0 + g, c0:c0 + g] += hsign * dgen[row, col] * acts[tau]
+    return out

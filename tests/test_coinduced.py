@@ -5,8 +5,9 @@ differentials without proving the module laws, equivariance or d o d
 again.  Here every term is rebuilt with the checking ``GModule(...)``
 constructor, and the whole complex with ``GComplex(...)``, for every
 subgroup of S3, C2 x C2 and Z/6 over Z, Z at degree 2, the regular module
-and the two-term complex Z[G] -> Z, and of S4 over Z.  The blocks the total
-complex places for each element must lay out that element's matrix.
+and the two-term complex Z[G] -> Z, and of S4 over Z.  The coordinate
+lists the total complex scatters for each element must lay out that
+element's matrix.
 """
 
 import numpy as np
@@ -29,16 +30,14 @@ def _augmentation_complex(G):
     return GComplex(G, 0, [regular_module(G), zmodule(G)], [aug])
 
 
-def _laid_out(blocks, n):
-    # the n x n matrix of the (row, column, matrix) blocks the total
-    # complex places; they must not overlap
+def _laid_out(pattern, x, n):
+    # the n x n matrix of x's coordinate lists, which the total complex
+    # scatters; they must not list a position twice
+    rows, cols, vals = (p[x] for p in pattern)
+    assert len(set(zip(rows, cols))) == len(rows)
+    assert all(type(v) is int for v in vals)
     out = np.zeros((n, n), dtype=object)
-    seen = np.zeros((n, n), dtype=bool)
-    for r, c, A in blocks:
-        h, w = A.shape
-        assert not seen[r:r + h, c:c + w].any()
-        seen[r:r + h, c:c + w] = True
-        out[r:r + h, c:c + w] = A
+    out[rows, cols] = vals
     return out
 
 
@@ -74,6 +73,6 @@ def test_coinduced_terms_pass_the_module_check(group, coeff):
             assert M.gens == C.term(j).gens * H.index
             checked.append(GModule(G, M.relators, M.action, name=M.name))
             for x in G.elements:
-                assert np.array_equal(_laid_out(M.act_blocks(x), M.gens),
+                assert np.array_equal(_laid_out(M.pattern, x, M.gens),
                                       M.act(x))
         GComplex(G, D.lo, checked, [D.diff(j) for j in range(D.lo, D.hi)])
