@@ -38,7 +38,7 @@ u = fundamental_class(X, C, report)
 assert u.order == 6
 
 rec = reciprocity_map(X, C, u)
-assert rec.verdict
+assert rec.is_isomorphism()
 assert rec.source.invariants() == (6,)
 assert rec.target.invariants() == (6,)
 print()

@@ -105,14 +105,3 @@ def cochain_cohomology(M: GModule, q: int) -> AbGroup:
     num = preimage_lattice(d_out, rel_next)
     den = hstack([d_in, rel_here])
     return Subquotient(num, den).group
-
-
-def herbrand_quotient(M: GModule) -> tuple:
-    """(|H^0|, |H^-1|) for a module with finite Tate groups.
-
-    For cyclic groups |H^-1| = |H^1|, so equality of the two numbers is
-    the Herbrand-quotient-one property for finite modules.
-    """
-    a = h0(M).order()
-    b = h_minus1(M).order()
-    return a, b

@@ -64,10 +64,6 @@ class FormationReport:
         self.fundamental: Optional[TateClass] = None
         self.failure: Optional[str] = None
         self.reciprocity: Optional[AbMap] = None
-        self.reciprocity_matrix: Optional[IntMatrix] = None
-        self.reciprocity_verdict: Optional[bool] = None
-        self.h0_invariants: Optional[tuple] = None
-        self.ab_invariants: Optional[tuple] = None
         self.notes = [LEX_NOTE, DENSE_NOTE]
 
     @property
@@ -101,12 +97,13 @@ class FormationReport:
         if self.fundamental is not None:
             out["fundamental"] = {"coords": int_list(self.fundamental.coords),
                                   "order": int(self.fundamental.order)}
-        if self.reciprocity_matrix is not None:
+        rec = self.reciprocity
+        if rec is not None:
             out["reciprocity"] = {
-                "matrix": [int_list(row) for row in self.reciprocity_matrix],
-                "source": int_list(self.h0_invariants),
-                "target": int_list(self.ab_invariants),
-                "isomorphism": bool(self.reciprocity_verdict),
+                "matrix": [int_list(row) for row in rec.matrix],
+                "source": int_list(rec.source.invariants()),
+                "target": int_list(rec.target.invariants()),
+                "isomorphism": bool(rec.is_isomorphism()),
             }
         return out
 
@@ -197,12 +194,7 @@ def check_class_formation(X, C: GComplex) -> FormationReport:
         return report
 
     report.fundamental = family[whole.elements]
-    rec = reciprocity_map(X, C, report.fundamental)
-    report.reciprocity = rec
-    report.reciprocity_matrix = rec.matrix
-    report.reciprocity_verdict = rec.verdict
-    report.h0_invariants = rec.source.invariants()
-    report.ab_invariants = rec.target.invariants()
+    report.reciprocity = reciprocity_map(X, C, report.fundamental)
     return report
 
 

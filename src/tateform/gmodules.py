@@ -125,11 +125,6 @@ def zmodule(G: FiniteGroup) -> GModule:
     return trivial_module(G, AbGroup(1, (), eye(1)), name="Z")
 
 
-def trivial_cyclic(G: FiniteGroup, n: int) -> GModule:
-    """Z/n with trivial action."""
-    return trivial_module(G, AbGroup(0, (n,), eye(1)), name=f"Z/{n}")
-
-
 def zero_module(G: FiniteGroup) -> GModule:
     return GModule(G, zeros(0, 0), [zeros(0, 0) for _ in range(G.order)], name="0")
 
@@ -199,21 +194,6 @@ def tensor(M: GModule, N: GModule) -> GModule:
     action = [kron(M.act(g), N.act(g)) for g in range(M.group.order)]
     raw = GModule(M.group, rel, action, name=f"({M.name})x({N.name})")
     return normalized(raw)
-
-
-def dual_module(M: GModule) -> GModule:
-    """Hom(M, Z) with the contragredient action act(g^{-1})^T.
-
-    Only defined for torsion-free modules; a presentation with redundant
-    relators is normalized first.
-    """
-    ab = cokernel_structure(M.relators)
-    if ab.torsion:
-        raise ValidationError(f"module {M.name} has torsion; no integral dual")
-    base = normalized(M) if M.relators.shape[1] else M
-    G = M.group
-    action = [base.act(G.inv(g)).T for g in range(G.order)]
-    return GModule(G, zeros(base.gens, 0), action, name=f"dual({M.name})")
 
 
 def fixed_points_subquotient(M: GModule) -> Subquotient:

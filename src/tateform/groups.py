@@ -193,10 +193,6 @@ def subgroup(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     return Subgroup(G, elems, G.is_normal_subset(elems))
 
 
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, (G.identity,), True)
-
-
 def whole_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(range(G.order)), True)
 

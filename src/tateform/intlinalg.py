@@ -728,11 +728,6 @@ class AbMap:
             return False
         return self.image_order() == self.target.order()
 
-    @property
-    def verdict(self) -> bool:
-        """is_isomorphism(), under the name reciprocity reports use."""
-        return self.is_isomorphism()
-
 
 class Subquotient:
     """ker/im structure inside an ambient Z^g, possibly modulo relators.

@@ -81,95 +81,98 @@ def dual_gen(G: FiniteGroup, rank_target: int, gen: IntMatrix) -> IntMatrix:
 
 
 class FreeResolution:
-    """A finite-length free resolution P_N -> ... -> P_1 -> P_0 -> Z -> 0.
+    """A free resolution P_N -> ... -> P_1 -> P_0 -> Z -> 0, built one
+    degree at a time as it is read: the length N is only a cap.
 
-    ranks[i] is the Z[G]-rank of P_i; dgens[i] (i >= 1) is the generator
-    matrix of d_i: P_i -> P_{i-1}; aug is the full 1 x (ranks[0]*|G|) row
-    of the augmentation P_0 -> Z.  Validation of d o d = 0 and exactness
-    is deliberately deferred to validate_complete_resolution, because
-    full-matrix composites are quadratically larger than the stored data.
+    ``step(res, i)`` gives the generator matrix of d_i: P_i -> P_{i-1}
+    from the degrees below i only, so a matrix does not depend on which
+    read builds it.  ``d_gen(i)``, the one place a degree is built, and
+    ``rank(i)`` build the missing degrees up to i in order.  ranks and
+    dgens hold the degrees built so far (dgens[0] is None); aug is the
+    full 1 x (ranks[0]*|G|) row of the augmentation P_0 -> Z.  Validation
+    of d o d = 0 and exactness is deliberately deferred to
+    validate_complete_resolution, because full-matrix composites are
+    quadratically larger than the stored data.
     """
 
-    def __init__(self, G: FiniteGroup, ranks: List[int], dgens: List[Optional[IntMatrix]],
+    def __init__(self, G: FiniteGroup, length: int,
+                 step: Callable[["FreeResolution", int], IntMatrix],
                  aug: IntMatrix, engine: str = "custom"):
-        n = G.order
-        if len(ranks) != len(dgens):
-            raise ValidationError("ranks and differentials disagree in length")
-        if len(ranks) < 1:
+        if length < 0:
             raise ValidationError("resolution needs at least degree 0")
-        if aug.shape != (1, ranks[0] * n):
+        if aug.shape[0] != 1 or aug.shape[1] % G.order:
             raise ValidationError("augmentation row has wrong shape")
-        for i in range(1, len(ranks)):
-            d = dgens[i]
-            if d is None or d.shape != (ranks[i - 1] * n, ranks[i]):
-                raise ValidationError("differential %d has wrong shape" % i)
         self.group = G
-        self.ranks = list(ranks)
-        self.dgens = dgens
+        self.length = length
+        self.ranks = [aug.shape[1] // G.order]
+        self.dgens: List[Optional[IntMatrix]] = [None]
         self.aug = aug
         self.engine = engine
-
-    @property
-    def length(self) -> int:
-        return len(self.ranks) - 1
+        self._step = step
 
     def d_gen(self, i: int) -> IntMatrix:
+        if not 1 <= i <= self.length:
+            raise ValidationError("no differential %d in a resolution of "
+                                  "length %d" % (i, self.length))
+        while len(self.dgens) <= i:
+            k = len(self.dgens)
+            d = self._step(self, k)
+            if d.shape[0] != self.ranks[k - 1] * self.group.order:
+                raise ValidationError("differential %d has wrong shape" % k)
+            self.ranks.append(d.shape[1])
+            self.dgens.append(d)
         return self.dgens[i]
+
+    def rank(self, i: int) -> int:
+        """Z[G]-rank of P_i; degree i is built first."""
+        if i:
+            self.d_gen(i)
+        return self.ranks[i]
 
     def full(self, i: int) -> IntMatrix:
         """Full Z-matrix of d_i on the induced bases."""
-        return free_full_matrix(self.group, self.ranks[i - 1], self.dgens[i])
+        return free_full_matrix(self.group, self.rank(i - 1), self.d_gen(i))
 
 
 def bar_resolution(G: FiniteGroup, length: int) -> FreeResolution:
     """The normalized-free (bar) resolution: P_i = Z[G]^(|G|^i), generators
-    written [g_1|...|g_i].
+    written [g_1|...|g_i].  BAR_CAP counts the whole length, so it refuses
+    before any degree is built.
 
     d[g_1|...|g_i] = g_1 [g_2|...|g_i]
                      + sum_j (-1)^j [g_1|...|g_j g_{j+1}|...|g_i]
                      + (-1)^i [g_1|...|g_{i-1}]
     """
     n = G.order
-    ranks = [n ** i for i in range(length + 1)]
-    total = sum(r * n for r in ranks)
+    total = sum(n ** (i + 1) for i in range(length + 1))
     if total > BAR_CAP:
         raise CapExceeded(
             "bar resolution needs %d Z-generators, cap is %d" % (total, BAR_CAP)
         )
-    e = G.identity
-    dgens: List[Optional[IntMatrix]] = [None]
-    for i in range(1, length + 1):
-        d = zeros(ranks[i - 1] * n, ranks[i])
-        for b in range(ranks[i]):
-            # unrank b as (g_1, ..., g_i), big-endian
-            g = []
-            rem = b
-            for k in range(i):
-                g.append(rem // n ** (i - 1 - k))
-                rem %= n ** (i - 1 - k)
-            # leading face: g_1 . [g_2|...|g_i]
-            tail = b % n ** (i - 1)
-            d[tail * n + g[0], b] += 1
-            # middle faces
-            sign = -1
-            for j in range(i - 1):
-                merged = 0
-                for k in range(i):
-                    if k == j:
-                        digit = G.mul(g[j], g[j + 1])
-                    elif k == j + 1:
-                        continue
-                    else:
-                        digit = g[k]
-                    merged = merged * n + digit
-                d[merged * n + e, b] += sign
-                sign = -sign
-            # trailing face: [g_1|...|g_{i-1}]
-            prefix = b // n
-            d[prefix * n + e, b] += sign
-        dgens.append(d)
     aug = np.full((1, n), 1, dtype=object)
-    return FreeResolution(G, ranks, dgens, aug, engine="bar")
+    return FreeResolution(G, length, _bar_step, aug, engine="bar")
+
+
+def _bar_step(res: FreeResolution, i: int) -> IntMatrix:
+    # every generator b = [g_1|...|g_i] at once, its g's the base-|G|
+    # digits of b, big-endian; face k carries the sign (-1)^k
+    G = res.group
+    n, e = G.order, G.identity
+    b = np.arange(n ** i)
+    g = b[:, None] // n ** np.arange(i - 1, -1, -1) % n
+    table = np.asarray(G.table, dtype=np.intp)
+    # leading face: g_1 . [g_2|...|g_i]
+    faces = [b % n ** (i - 1) * n + g[:, 0]]
+    # middle faces: [g_1|...|g_j g_{j+1}|...|g_i]
+    for j in range(i - 1):
+        merged = b // n ** (i - j) * n + table[g[:, j], g[:, j + 1]]
+        faces.append((merged * n ** (i - j - 2) + b % n ** (i - j - 2)) * n + e)
+    # trailing face: [g_1|...|g_{i-1}]
+    faces.append(b // n * n + e)
+    d = zeros(n ** i, n ** i)
+    for k, rows in enumerate(faces):
+        d[rows, b] += (-1) ** k  # one entry per column: no position repeats
+    return d
 
 
 def periodic_resolution(G: FiniteGroup, length: int) -> FreeResolution:
@@ -186,11 +189,9 @@ def periodic_resolution(G: FiniteGroup, length: int) -> FreeResolution:
     minus[sigma, 0] += 1
     minus[e, 0] += -1
     norm = np.full((n, 1), 1, dtype=object)
-    dgens: List[Optional[IntMatrix]] = [None]
-    for i in range(1, length + 1):
-        dgens.append(minus.copy() if i % 2 == 1 else norm.copy())
-    aug = np.full((1, n), 1, dtype=object)
-    return FreeResolution(G, [1] * (length + 1), dgens, aug, engine="periodic")
+    return FreeResolution(G, length,
+                          lambda res, i: (minus if i % 2 == 1 else norm).copy(),
+                          np.full((1, n), 1, dtype=object), engine="periodic")
 
 
 class SpanQuotient:
@@ -248,52 +249,49 @@ class SpanQuotient:
 
 
 def peeled_resolution(G: FiniteGroup, length: int) -> FreeResolution:
-    """Resolution built by repeatedly peeling kernels.
+    """Resolution built by peeling kernels, one degree at a time as read.
 
-    At each step the kernel of the previous differential (a G-stable
-    sublattice, so a Z[G]-submodule) is covered greedily by the orbits of
-    its own lattice basis vectors: a basis vector is chosen when it lies
-    outside the span of the orbits chosen before it, and the chosen
-    vectors become the images of the next free term's generators.  That
-    span is kept as a ``SpanQuotient``, so each chosen orbit is eliminated
-    once, against the quotient and not with the orbits before it, and the
-    remaining basis vectors are tested in one product.  Membership is a
-    property of the lattice, so the chosen vectors do not depend on how
-    the span is represented.  The last differential's kernel is never
-    peeled, so it is not computed: a window-N peel makes N kernel
-    eliminations, of the augmentation and of d_1, ..., d_{N-1}.  Exactness
-    holds by construction and ranks stay near-minimal, which keeps
-    noncyclic groups tractable where the bar resolution's |G|^i growth
-    does not.
+    Degree i covers the kernel of d_{i-1} (of the augmentation for i = 1),
+    a G-stable sublattice, greedily by the orbits of its own lattice basis
+    vectors: a basis vector is chosen when it lies outside the span of the
+    orbits chosen before it, and the chosen vectors become the images of
+    P_i's generators.  That span is kept as a ``SpanQuotient``, so each
+    chosen orbit is eliminated once, against the quotient and not with the
+    orbits before it, and the remaining basis vectors are tested in one
+    product.  Membership is a property of the lattice, so the chosen
+    vectors do not depend on how the span is represented.  Building degree
+    N makes N kernel eliminations, of the augmentation and of d_1, ...,
+    d_{N-1}, and checks PEEL_RANK_CAP at each degree.  Exactness holds by
+    construction and ranks stay near-minimal, which keeps noncyclic groups
+    tractable where the bar resolution's |G|^i growth does not.
     """
-    n = G.order
-    ranks = [1]
-    dgens: List[Optional[IntMatrix]] = [None]
-    aug = np.full((1, n), 1, dtype=object)
-    for i in range(1, length + 1):
-        prev_rank = ranks[-1]
-        kernel = kernel_basis(
-            aug if i == 1 else free_full_matrix(G, ranks[-2], dgens[-1]))
-        chosen: List[IntMatrix] = []
-        span = SpanQuotient(kernel.shape[0])
-        narrowed = narrow(kernel)  # converted once for every membership test
-        j = span.first_outside(narrowed)
-        while j is not None:
-            chosen.append(kernel[:, j:j + 1])
-            span.add(free_full_matrix(G, prev_rank, narrowed[:, j:j + 1]))
-            j = span.first_outside(narrowed, j + 1)
-        r = max(len(chosen), 1)
-        if r > PEEL_RANK_CAP:
-            raise CapExceeded("peeled rank %d exceeds cap %d" % (r, PEEL_RANK_CAP))
-        ranks.append(r)
-        dgens.append(hstack(chosen) if chosen else zeros(prev_rank * n, 1))
-    return FreeResolution(G, ranks, dgens, aug, engine="peeled")
+    aug = np.full((1, G.order), 1, dtype=object)
+    return FreeResolution(G, length, _peel_step, aug, engine="peeled")
+
+
+def _peel_step(res: FreeResolution, i: int) -> IntMatrix:
+    G = res.group
+    prev_rank = res.ranks[i - 1]
+    kernel = kernel_basis(res.aug if i == 1 else res.full(i - 1))
+    chosen: List[IntMatrix] = []
+    span = SpanQuotient(kernel.shape[0])
+    narrowed = narrow(kernel)  # converted once for every membership test
+    j = span.first_outside(narrowed)
+    while j is not None:
+        chosen.append(kernel[:, j:j + 1])
+        span.add(free_full_matrix(G, prev_rank, narrowed[:, j:j + 1]))
+        j = span.first_outside(narrowed, j + 1)
+    r = max(len(chosen), 1)
+    if r > PEEL_RANK_CAP:
+        raise CapExceeded("peeled rank %d exceeds cap %d" % (r, PEEL_RANK_CAP))
+    return hstack(chosen) if chosen else zeros(prev_rank * G.order, 1)
 
 
 def resolution_for(G: FiniteGroup, length: int, engine: str = "auto") -> FreeResolution:
     """Engine dispatch: periodic for cyclic groups, peeled otherwise.
     The bar resolution is available by explicit request.  Lengths above
-    WINDOW_CAP are refused before any degree is built."""
+    WINDOW_CAP are refused here; below it the length is only a cap, and
+    each degree is built when first read."""
     if length > WINDOW_CAP:
         raise CapExceeded("resolution length %d exceeds cap %d"
                           % (length, WINDOW_CAP))
@@ -309,8 +307,9 @@ def resolution_for(G: FiniteGroup, length: int, engine: str = "auto") -> FreeRes
 
 
 class CompleteResolution:
-    """A doubly infinite exact sequence of free modules, materialized on
-    the window [-N, N].
+    """A doubly infinite exact sequence of free modules on the window
+    [-N, N], which is only a cap: reads go through the FreeResolution, so
+    a degree is built when first read.
 
     X^{-i} = P_i for i >= 0 and X^i = dual(P_{i-1}) for i >= 1, where the
     Z-linear dual of a free module is free on the dual basis with the
@@ -336,7 +335,7 @@ class CompleteResolution:
         if abs(q) > self.window:
             raise ValidationError("degree %d outside window [-%d, %d]"
                                   % (q, self.window, self.window))
-        return self.res.ranks[-q] if q <= 0 else self.res.ranks[q - 1]
+        return self.res.rank(-q if q <= 0 else q - 1)
 
     def zdim(self, q: int) -> int:
         return self.rank(q) * self.group.order
@@ -353,12 +352,11 @@ class CompleteResolution:
         if q <= -1:
             gen = self.res.d_gen(-q)
         elif q == 0:
-            aug = self.res.aug
-            full0 = aug.T @ aug
-            cols = [b * n + e for b in range(self.res.ranks[0])]
-            gen = full0[:, cols]
+            # columns (b, e) of the full matrix (dual of aug) o aug
+            cols = [b * n + e for b in range(self.res.rank(0))]
+            gen = self.res.aug.T @ self.res.aug[:, cols]
         else:
-            gen = dual_gen(self.group, self.res.ranks[q - 1], self.res.d_gen(q))
+            gen = dual_gen(self.group, self.res.rank(q - 1), self.res.d_gen(q))
         self._gen_cache[q] = gen
         return gen
 
@@ -423,7 +421,8 @@ def validate_complete_resolution(X: CompleteResolution,
     factorization.  Degrees whose matrices exceed max_zdim are reported as
     skipped rather than silently trusted, and a skipped degree does not
     pass: ``passed`` is true only when every degree reads exact.  Each map
-    is eliminated at most once, for both its kernel and its image.
+    is eliminated at most once, for both its kernel and its image.  The
+    audit covers the whole window, so it builds every degree of X.
     """
     N = X.window
     audit = ResolutionAudit(N)

@@ -486,16 +486,6 @@ class SubgroupPair:
         image = self.res_cochain(x.degree) @ vec
         return self.tate_H.classify_class(x.degree, image)
 
-    def cor_class(self, x: TateClass) -> TateClass:
-        vec = self.tate_H.element(x.degree, x.coords)
-        image = self.cor_cochain(x.degree) @ vec
-        return self.tate_G.classify_class(x.degree, image)
-
-    def res_matrix(self, q: int) -> IntMatrix:
-        """Induced map on cohomology, columns = canonical generators."""
-        return induced_map(self.tate_G, self.tate_H, self.res_cochain(q),
-                           q, q).matrix
-
     def cor_matrix(self, q: int) -> IntMatrix:
         return induced_map(self.tate_H, self.tate_G, self.cor_cochain(q),
                            q, q).matrix

@@ -16,6 +16,11 @@ coordinates must equal ``groups.abelianization``'s entry for entry.
 ``loop_assemble`` builds a total-complex differential one nonzero of the
 resolution's generator matrix at a time, with each coefficient term's
 full action matrices, apart from the scatter ``TotalComplex`` makes.
+
+The rest are small constructions that only tests use: Z/n with trivial
+action, the trivial subgroup, the integral dual of a module, the
+Herbrand pair (|H^0|, |H^-1|) by cochains, and corestriction of one
+class through a ``SubgroupPair``.
 """
 
 from itertools import combinations
@@ -23,8 +28,9 @@ from math import gcd
 
 import numpy as np
 
+from tateform.classical import h0, h_minus1
 from tateform.errors import ValidationError
-from tateform.gmodules import GModule
+from tateform.gmodules import GModule, normalized, trivial_module
 from tateform.groups import (
     FiniteGroup,
     Subgroup,
@@ -37,11 +43,53 @@ from tateform.intlinalg import (
     LatticeSolver,
     Subquotient,
     cokernel_structure,
+    eye,
     is_zero,
     kernel_basis,
     matmul,
     zeros,
 )
+
+
+def trivial_cyclic(G: FiniteGroup, n: int) -> GModule:
+    """Z/n with trivial action."""
+    return trivial_module(G, AbGroup(0, (n,), eye(1)), name=f"Z/{n}")
+
+
+def trivial_subgroup(G: FiniteGroup) -> Subgroup:
+    return Subgroup(G, (G.identity,), True)
+
+
+def dual_module(M: GModule) -> GModule:
+    """Hom(M, Z) with the contragredient action act(g^{-1})^T.
+
+    Only defined for torsion-free modules; a presentation with redundant
+    relators is normalized first.
+    """
+    ab = cokernel_structure(M.relators)
+    if ab.torsion:
+        raise ValidationError(f"module {M.name} has torsion; no integral dual")
+    base = normalized(M) if M.relators.shape[1] else M
+    G = M.group
+    action = [base.act(G.inv(g)).T for g in range(G.order)]
+    return GModule(G, zeros(base.gens, 0), action, name=f"dual({M.name})")
+
+
+def herbrand_quotient(M: GModule) -> tuple:
+    """(|H^0|, |H^-1|) for a module with finite Tate groups.
+
+    For cyclic groups |H^-1| = |H^1|, so equality of the two numbers is
+    the Herbrand-quotient-one property for finite modules.
+    """
+    return h0(M).order(), h_minus1(M).order()
+
+
+def cor_class(pair, x):
+    """Corestriction of the class x of H's groups to G's, through the
+    pair's cochain-level transfer."""
+    vec = pair.tate_H.element(x.degree, x.coords)
+    image = pair.cor_cochain(x.degree) @ vec
+    return pair.tate_G.classify_class(x.degree, image)
 
 
 def gcd_minors_diagonal(a: IntMatrix) -> tuple[int, ...]:

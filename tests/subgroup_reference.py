@@ -3,10 +3,10 @@ corestriction placed generator by generator: references for the
 coinduced route in ``tate`` that share none of its code.
 
 ``subgroup_resolution(X, H)`` is X's free resolution relabeled into a
-FreeResolution over H.  Z[G] restricted to H is free on any right
-transversal {g_k} of H in G, so the G-index (a, sigma) with
-sigma = h_i g_k becomes the H-index (a t + k, i), and H-generator
-a t + k is the element g_k of generator a.  Its positive half is the dual
+FreeResolution over H, one degree at a time as each is read.  Z[G]
+restricted to H is free on any right transversal {g_k} of H in G, so the
+G-index (a, sigma) with sigma = h_i g_k becomes the H-index (a t + k, i),
+and H-generator a t + k is the element g_k of generator a.  Its positive half is the dual
 over H and its degree-0 map comes from its own augmentation, both built
 by ``complete_resolution`` over H.  ``restricted(C, H)`` views every term
 over H through the checking ``restrict_module``.
@@ -50,10 +50,9 @@ def subgroup_resolution(X, H):
     of |G| entries, so X's own row serves."""
     res = X.res
     Hgrp, _ = as_group(H)
-    dgens = [None] + [relabel(X.group, H, res.d_gen(i))
-                      for i in range(1, len(res.ranks))]
     return complete_resolution(FreeResolution(
-        Hgrp, [r * H.index for r in res.ranks], dgens, res.aug, res.engine))
+        Hgrp, res.length, lambda _, i: relabel(X.group, H, res.d_gen(i)),
+        res.aug, res.engine))
 
 
 def restricted(C, H):

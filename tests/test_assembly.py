@@ -20,14 +20,13 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from reference import loop_assemble
+from reference import loop_assemble, trivial_cyclic
 from tateform.formation import check_class_formation
 from tateform.gcomplexes import concentrate, cone_of_mult
 from tateform.gmodules import (
     GModule,
     finite_field_units,
     regular_module,
-    trivial_cyclic,
     zmodule,
 )
 from tateform.groups import (

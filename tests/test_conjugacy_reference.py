@@ -120,12 +120,7 @@ def reference_formation(X, C):
     if report.failure is not None:
         return report
     report.fundamental = family[whole.elements]
-    rec = reciprocity_map(X, C, report.fundamental)
-    report.reciprocity = rec
-    report.reciprocity_matrix = rec.matrix
-    report.reciprocity_verdict = rec.verdict
-    report.h0_invariants = rec.source.invariants()
-    report.ab_invariants = rec.target.invariants()
+    report.reciprocity = reciprocity_map(X, C, report.fundamental)
     return report
 
 

@@ -109,7 +109,7 @@ class TestFormationPass:
         rep = check_class_formation(X, C)
         assert rep.passed
         assert rep.fundamental.order == 1
-        assert rep.reciprocity_verdict is True
+        assert rep.reciprocity.is_isomorphism() is True
 
     def test_all_candidates_examined(self):
         assert formation_report(4).candidates_tried == 2
@@ -141,7 +141,7 @@ class TestFirstObstruction:
         _, _, rep = self.klein_report()
         assert rep.c3_rows == []
         assert rep.fundamental is None
-        assert rep.reciprocity_matrix is None
+        assert rep.reciprocity is None
 
     def test_fundamental_class_refuses_failing_report(self):
         K, XK, rep = self.klein_report()
@@ -239,7 +239,7 @@ class TestReciprocity:
         G, X, C = cyclic_setup(n)
         rep = formation_report(n)
         rec = reciprocity_map(X, C, rep.fundamental)
-        assert rec.verdict
+        assert rec.is_isomorphism()
         assert rec.source.invariants() == (n,)
         assert rec.target.invariants() == (n,)
         image = rec.apply((1,))
@@ -249,16 +249,16 @@ class TestReciprocity:
         G, X, C = cyclic_setup(4)
         rep = formation_report(4)
         rec = reciprocity_map(X, C, rep.fundamental)
-        assert rec.matrix.tolist() == rep.reciprocity_matrix.tolist()
-        assert rep.h0_invariants == (4,)
-        assert rep.ab_invariants == (4,)
+        assert rec.matrix.tolist() == rep.reciprocity.matrix.tolist()
+        assert rep.reciprocity.source.invariants() == (4,)
+        assert rep.reciprocity.target.invariants() == (4,)
 
     def test_trivial_group_map_is_empty(self):
         G, X, C = cyclic_setup(1)
         rep = check_class_formation(X, C)
         rec = reciprocity_map(X, C, rep.fundamental)
         assert rec.matrix.shape == (0, 0)
-        assert rec.verdict
+        assert rec.is_isomorphism()
 
 
 class TestNormGroups:

@@ -14,11 +14,12 @@ from tateform.gcomplexes import (
 from tateform.gmodules import (
     GModule,
     finite_field_units,
-    trivial_cyclic,
     zmodule,
 )
 from tateform.groups import make_cyclic
 from tateform.intlinalg import eye, intmat, zeros
+
+from reference import trivial_cyclic
 
 
 def two_term_complex():

@@ -6,14 +6,12 @@ import pytest
 from tateform.errors import ValidationError
 from tateform.gmodules import (
     GModule,
-    dual_module,
     finite_field_units,
     fixed_points,
     norm_endomorphism,
     normalized,
     regular_module,
     tensor,
-    trivial_cyclic,
     trivial_module,
     zero_module,
     zmodule,
@@ -24,12 +22,12 @@ from tateform.groups import (
     make_cyclic,
     subgroup,
     symmetric_group,
-    trivial_subgroup,
     whole_subgroup,
 )
 from tateform.intlinalg import AbGroup, LatticeSolver, eye, intmat, zeros
 
-from reference import restrict_module
+from reference import (dual_module, restrict_module, trivial_cyclic,
+                       trivial_subgroup)
 
 
 def inversion_module(n):

@@ -22,7 +22,6 @@ from tateform.groups import (
     right_transversal,
     subgroup,
     symmetric_group,
-    trivial_subgroup,
     whole_subgroup,
 )
 
@@ -31,6 +30,7 @@ from reference import (
     commutator_subgroup,
     coset_abelianization,
     quotient_group,
+    trivial_subgroup,
 )
 from test_differential import D4, Q8, relabel, shuffled_ids
 

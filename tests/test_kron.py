@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from tateform import tate
 from tateform.gcomplexes import concentrate
-from tateform.gmodules import trivial_cyclic, zmodule
+from tateform.gmodules import zmodule
 from tateform.groups import make_cyclic
 from tateform.intlinalg import block_diag, eye, kron
 from tateform.resolutions import complete_resolution, periodic_resolution
+
+from reference import trivial_cyclic
 
 
 @st.composite

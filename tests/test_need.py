@@ -156,6 +156,14 @@ def _digest(res):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+PINNED = {
+    "S4": ("8083496147273fb1eef39a01da0d944e362f16d008470fcbf27985910446b3ed",
+           groups.symmetric_group(4)),
+    "C2^3": ("fa05b261d1f4fb03d8e8bef24b43a1385d35b1e1d15142a9e5187ed098e1a358",
+             reduce(groups.direct_product, [groups.make_cyclic(2)] * 3)),
+}
+
+
 def test_peeled_resolutions_are_pinned():
     # digests of the resolutions built when the peel re-eliminated its
     # whole span, with a lattice_basis and a fresh LatticeSolver, after
@@ -164,12 +172,51 @@ def test_peeled_resolutions_are_pinned():
     c2 = groups.make_cyclic(2)
     s4 = peeled_resolution(groups.symmetric_group(4), 5)
     c2cubed = peeled_resolution(reduce(groups.direct_product, [c2, c2, c2]), 5)
+    s4.d_gen(5)
+    c2cubed.d_gen(5)
     assert s4.ranks == [1, 3, 6, 9, 12, 18]
     assert c2cubed.ranks == [1, 3, 6, 10, 16, 24]
-    assert _digest(s4) == (
-        "8083496147273fb1eef39a01da0d944e362f16d008470fcbf27985910446b3ed")
-    assert _digest(c2cubed) == (
-        "fa05b261d1f4fb03d8e8bef24b43a1385d35b1e1d15142a9e5187ed098e1a358")
+    assert _digest(s4) == PINNED["S4"][0]
+    assert _digest(c2cubed) == PINNED["C2^3"][0]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_the_order_of_reads_does_not_change_the_peel(name):
+    # a degree is built from the degrees below it only: reading the rank
+    # of P_3 first, then d^-5 of the complete resolution, builds the
+    # pinned matrices
+    digest, G = PINNED[name]
+    X = complete_resolution(peeled_resolution(G, 5))
+    X.res.rank(3)
+    assert len(X.res.dgens) == 4
+    X.diff_gen(-5)
+    assert _digest(X.res) == digest
+
+
+@pytest.mark.parametrize("G", [groups.symmetric_group(3),
+                               groups.symmetric_group(4)], ids=["S3", "S4"])
+def test_a_tate_analysis_builds_only_the_degrees_it_reads(monkeypatch, G):
+    # Z over [-2, 2] reads X^-3 through X^3 of the default window 6: the
+    # peel builds degrees up to 3 and eliminates the kernels of the
+    # augmentation, d_1 and d_2
+    made = []
+    original = cli.complete_resolution
+
+    def capture(res):
+        made.append(original(res))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "complete_resolution", capture)
+    kernels = _counting(monkeypatch, resolutions, "kernel_basis")
+    doc = {"name": "tate", "group": {"kind": "table",
+                                     "table": [list(r) for r in G.table]},
+           "coefficients": {"kind": "trivial"},
+           "analyses": [{"kind": "tate", "range": [-2, 2]}]}
+    cli.run_scenario(cli.parse_scenario(doc))
+    [X] = made
+    assert X.window == 6
+    assert len(X.res.dgens) - 1 == 3
+    assert len(kernels) == 3
 
 
 def _recorded_needs(monkeypatch, shapes=None):
@@ -216,7 +263,7 @@ def test_the_peel_eliminates_each_span_once(monkeypatch):
 
     monkeypatch.setattr(resolutions.SpanQuotient, "add", add)
     G = groups.symmetric_group(4)
-    peeled_resolution(G, 3)
+    peeled_resolution(G, 3).d_gen(3)
     assert Counter(needs) == {"v": 3, "u": 18}
     spans = [shape for need, shape in zip(needs, shapes) if need == "u"]
     assert len(spans) == len(torsion)
@@ -232,10 +279,10 @@ C2 = groups.make_cyclic(2)
     groups.direct_product(groups.direct_product(C2, C2), C2),
 ], ids=["S4", "C2^3"])
 def test_the_peel_computes_no_kernel_past_its_last_differential(monkeypatch, G):
-    # a window-w peel eliminates the kernels of the augmentation and of
+    # building degree w eliminates the kernels of the augmentation and of
     # d_1, ..., d_{w-1}: nothing reads the kernel of d_w
     needs = _recorded_needs(monkeypatch)
-    peeled_resolution(G, 5)
+    peeled_resolution(G, 5).d_gen(5)
     assert Counter(needs)["v"] == 5
 
 
@@ -443,8 +490,8 @@ def test_reciprocity_map_builds_the_z_groups_once(monkeypatch):
     builds = _counting_builds(monkeypatch)
     for Y in (fresh, X):
         rec = formation.reciprocity_map(Y, C, report.fundamental)
-        assert rec.verdict
-        assert rec.matrix.tolist() == report.reciprocity_matrix.tolist()
+        assert rec.is_isomorphism()
+        assert rec.matrix.tolist() == report.reciprocity.matrix.tolist()
     assert _z_builds(builds, fresh, C, made) == [(-2, -2)]
     assert _z_builds(builds, X, C, made) == []
 
@@ -534,8 +581,10 @@ C2 = groups.make_cyclic(2)
 def test_exactness_audit_eliminates_each_map_once(monkeypatch, build, G):
     # one elimination per map, whether read for its kernel, its image or
     # both: the augmentation, its dual and d^-4 through d^2; calls made
-    # through resolutions' own name for smith_normal_form count too
+    # through resolutions' own name for smith_normal_form count too.  The
+    # peel's own kernels are eliminated before counting starts
     X = complete_resolution(build(G, 4))
+    X.res.d_gen(4)
     calls = _counting(monkeypatch, intlinalg, "smith_normal_form")
     monkeypatch.setattr(resolutions, "smith_normal_form", intlinalg.smith_normal_form)
     audit = validate_complete_resolution(X)

@@ -118,6 +118,7 @@ class TestBar:
     def test_trivial_group_alternation(self):
         G = make_cyclic(1)
         res = bar_resolution(G, 4)
+        res.d_gen(4)
         assert res.ranks == [1, 1, 1, 1, 1]
         for i in range(1, 5):
             expected = 0 if i % 2 == 1 else 1
@@ -125,6 +126,7 @@ class TestBar:
 
     def test_z2_ranks(self):
         res = bar_resolution(make_cyclic(2), 3)
+        res.d_gen(3)
         assert res.ranks == [1, 2, 4, 8]
         assert [res.ranks[i] * 2 for i in range(4)] == [2, 4, 8, 16]
 
@@ -201,6 +203,7 @@ class TestPeeled:
 
     def test_cyclic_matches_minimal_rank(self):
         res = peeled_resolution(make_cyclic(4), 3)
+        res.d_gen(3)
         # the augmentation ideal of a cyclic group is principal over the
         # group ring, so peeling should not inflate ranks much
         assert all(r <= 3 for r in res.ranks)
@@ -237,7 +240,7 @@ class TestPeeled:
                 span.add(orbits[-1])
                 lattice = lattice_basis(hstack(orbits))
             assert span.first_outside(kernel) is None
-            assert np.array_equal(hstack(chosen), res.dgens[i])
+            assert np.array_equal(hstack(chosen), res.d_gen(i))
             kernel = kernel_basis(res.full(i))
 
     def test_dispatch(self):
@@ -369,7 +372,7 @@ class TestSpanQuotientStorage:
             storage.append((self.f.dtype, self.moduli.dtype))
 
         monkeypatch.setattr(resolutions.SpanQuotient, "add", add)
-        peeled_resolution(symmetric_group(4), 5)
+        peeled_resolution(symmetric_group(4), 5).d_gen(5)
         assert storage
         assert all(f == np.int64 and m == np.int64 for f, m in storage)
 
@@ -466,5 +469,6 @@ class TestAuditCorruption:
     def test_free_resolution_audit_catches_bad_map(self):
         G = make_cyclic(4)
         res = periodic_resolution(G, 3)
+        res.d_gen(3)
         res.dgens[2] = np.full((4, 1), 2, dtype=object)  # 2*norm: image too small
         assert not validate_complete_resolution(complete_resolution(res)).passed

@@ -7,14 +7,12 @@ cone order bookkeeping, and diagonal approximations."""
 import numpy as np
 import pytest
 
-from tateform.classical import herbrand_quotient
 from tateform.cli import render_result
 from tateform.errors import LiftingError, ValidationError, WindowError
 from tateform.gcomplexes import GComplex, concentrate, shift
 from tateform.gmodules import (
     finite_field_units,
     regular_module,
-    trivial_cyclic,
     zmodule,
 )
 from tateform.groups import (
@@ -24,7 +22,6 @@ from tateform.groups import (
     right_transversal,
     subgroup,
     symmetric_group,
-    trivial_subgroup,
     whole_subgroup,
 )
 from tateform.intlinalg import intmat
@@ -44,13 +41,15 @@ from tateform.tate import (
     cup_from_cochain,
     cup_with,
     diagonal_approximation,
+    induced_map,
     iota_abelianization,
     remark_agreement,
     tate_hypercohomology,
     tate_nakayama_check,
 )
 
-from reference import as_group
+from reference import (as_group, cor_class, herbrand_quotient,
+                       trivial_cyclic, trivial_subgroup)
 from subgroup_reference import restricted, subgroup_resolution
 
 _cache = {}
@@ -217,7 +216,8 @@ class TestRestrictionCorestriction:
         C = concentrate(zmodule(G), 0)
         pair = SubgroupPair(X, C, whole_subgroup(G), 2, 2)
         assert pair.tate_H.invariants(2) == (4,)
-        assert pair.res_matrix(2).tolist() == [[1]]
+        res = induced_map(pair.tate_G, pair.tate_H, pair.res_cochain(2), 2, 2)
+        assert res.matrix.tolist() == [[1]]
 
     def test_res_generator_z4_to_z2(self):
         # character restriction: the order-4 character with value 1/4 on
@@ -252,7 +252,7 @@ class TestRestrictionCorestriction:
             for i in range(grp.ngens):
                 coords = tuple(1 if j == i else 0 for j in range(grp.ngens))
                 x = pair.tate_G.class_at(q, coords)
-                lhs = pair.cor_class(pair.res_class(x))
+                lhs = cor_class(pair, pair.res_class(x))
                 rhs = pair.tate_G.class_at(
                     q, tuple(idx * c for c in x.coords))
                 assert lhs.coords == rhs.coords
@@ -267,7 +267,7 @@ class TestRestrictionCorestriction:
             for i in range(grp.ngens):
                 coords = tuple(1 if j == i else 0 for j in range(grp.ngens))
                 x = pair.tate_G.class_at(0, coords)
-                lhs = pair.cor_class(pair.res_class(x))
+                lhs = cor_class(pair, pair.res_class(x))
                 rhs = pair.tate_G.class_at(0, tuple(idx * c for c in x.coords))
                 assert lhs.coords == rhs.coords
 
@@ -704,10 +704,9 @@ class TestDiagonal:
         for g, c in minus_entries.items():
             minus[g, 0] = c
         norm = np.ones((3, 1), dtype=object)
-        dgens = [None] + [minus.copy() if i % 2 else norm.copy()
-                          for i in range(1, 7)]
         aug = np.ones((1, 3), dtype=object)
-        return complete_resolution(FreeResolution(G, [1] * 7, dgens, aug))
+        return complete_resolution(FreeResolution(
+            G, 6, lambda _, i: (minus if i % 2 else norm).copy(), aug))
 
     def test_accepts_other_generator(self):
         X = self.hand_built_z3({2: 1, 0: -1})  # sigma^2 - 1
