@@ -236,14 +236,17 @@ def reciprocity_map(X, C: GComplex, u: TateClass) -> AbMap:
     """The map H^0(G, C) -> G^ab: compose the inverse of cupping with u
     (H^{-2}(G, Z) -> H^0(G, C)) with iota: H^{-2}(G, Z) -> G^ab.  Its
     verdict records both injectivity (equal orders) and surjectivity,
-    which is what density means at a finite level."""
+    which is what density means at a finite level.  Each column is
+    reduced modulo G^ab's invariant factors."""
     cup = cup_with(X, C, u, 0)
     if not cup.is_isomorphism():
         raise ValidationError(
             "cup map is not invertible; Tate-Nakayama should forbid this")
     inv = _invert_on_groups(cup.matrix, cup.source, cup.target)
     io = iota_abelianization(X)
-    return AbMap(io.matrix @ inv, cup.target, io.target)
+    m = io.matrix @ inv
+    return AbMap.from_columns([io.target.reduce_coords(c) for c in m.T],
+                              cup.target, io.target)
 
 
 class NormGroupTable:

@@ -19,7 +19,6 @@ from .groups import FiniteGroup
 from .intlinalg import (
     IntMatrix,
     LatticeSolver,
-    SnfResult,
     hstack,
     is_zero,
     kernel_basis,
@@ -316,7 +315,9 @@ class CompleteResolution:
     contragredient action (for permutation actions this is again the
     translation action, so every term uses the same (a, sigma) indexing).
     The two halves are spliced through Z: d^0 = (dual of aug) o aug, so
-    the composite X^0 -> X^1 factors through Z by construction.
+    the composite X^0 -> X^1 factors through Z by construction.  X is
+    self-dual: full_diff(q).T == full_diff(-q), rank(1 - q) == rank(q).
+    ``solver(q)`` keeps d^q's one elimination, for the lifts and the audit.
     """
 
     def __init__(self, res: FreeResolution):
@@ -325,6 +326,7 @@ class CompleteResolution:
         self.window = res.length
         self._full_cache: Dict[int, IntMatrix] = {}
         self._gen_cache: Dict[int, IntMatrix] = {}
+        self._solvers: Dict[int, LatticeSolver] = {}
         self._tate: Dict[object, object] = {}  # see tate._kept
 
     @property
@@ -366,6 +368,12 @@ class CompleteResolution:
                 self.group, self.rank(q + 1), self.diff_gen(q))
         return self._full_cache[q]
 
+    def solver(self, q: int) -> LatticeSolver:
+        """Integer solves against d^q, from its one kept elimination."""
+        if q not in self._solvers:
+            self._solvers[q] = LatticeSolver(self.full_diff(q))
+        return self._solvers[q]
+
 
 def complete_resolution(res: FreeResolution) -> CompleteResolution:
     return CompleteResolution(res)
@@ -399,17 +407,16 @@ class ResolutionAudit:
         return out
 
 
-def _exactness(d_in: IntMatrix, d_out: IntMatrix,
-               snf: Callable[[IntMatrix], SnfResult]) -> str:
+def _exactness(d_in: LatticeSolver, d_out: LatticeSolver) -> str:
     """Verdict on ker(d_out) = im(d_in): d_out o d_in = 0 puts the image
     inside the kernel, and a kernel basis inside the image lattice gives
-    the reverse containment.  ``snf`` gives a map's elimination carrying
-    ``u`` and ``v``, which serves both as the image's solver and, through
-    V's last columns, as the kernel's basis."""
-    if not is_zero(matmul(d_out, d_in)):
+    the reverse containment.  Each solver's elimination carries ``u`` and
+    ``v``, so d_out's serves, through V's last columns, as the kernel's
+    basis."""
+    if not is_zero(matmul(d_out.matrix, d_in.matrix)):
         return "FAIL: d o d != 0"
-    out = snf(d_out)
-    if not LatticeSolver(d_in, snf(d_in)).contains(out.v[:, out.rank:]):
+    out = d_out.snf
+    if not d_in.contains(out.v[:, out.rank:]):
         return "FAIL: ker != im"
     return "exact"
 
@@ -420,35 +427,27 @@ def validate_complete_resolution(X: CompleteResolution,
     the augmented segment ... -> X^{-1} -> X^0 -> Z -> 0, and the splice
     factorization.  Degrees whose matrices exceed max_zdim are reported as
     skipped rather than silently trusted, and a skipped degree does not
-    pass: ``passed`` is true only when every degree reads exact.  Each map
-    is eliminated at most once, for both its kernel and its image.  The
-    audit covers the whole window, so it builds every degree of X.
+    pass: ``passed`` is true only when every degree reads exact.  The audit
+    shares X's one elimination per map with the chain lifts, for its kernel
+    and its image, and covers the whole window, so it builds every degree.
     """
     N = X.window
     audit = ResolutionAudit(N)
-    elims: Dict[int, Tuple[IntMatrix, SnfResult]] = {}
-
-    def snf(d: IntMatrix) -> SnfResult:
-        # keyed by identity: X caches its maps, and each entry keeps its
-        # map alive, so no key is reused
-        if id(d) not in elims:
-            elims[id(d)] = d, smith_normal_form(d, need="u v")
-        return elims[id(d)][1]
 
     # augmented segment: eps surjective and ker(eps) = im(d^{-1})
-    eps = X.eps
-    if not LatticeSolver(eps, snf(eps)).contains(np.ones(1, dtype=object)):
+    eps = LatticeSolver(X.eps)
+    if not eps.contains(np.ones(1, dtype=object)):
         audit.augmented_segment = "FAIL: augmentation not surjective"
-    elif _exactness(X.full_diff(-1), eps, snf) != "exact":
+    elif _exactness(X.solver(-1), eps) != "exact":
         audit.augmented_segment = "FAIL: im(d^-1) != ker(aug)"
     else:
         audit.augmented_segment = "exact"
 
     # splice: d^0 recomputed from the augmentation, and im(eta) = ker(d^1)
-    eta = eps.T
-    if not np.array_equal(X.full_diff(0), eta @ eps):
+    eta = X.eps.T
+    if not np.array_equal(X.full_diff(0), eta @ X.eps):
         audit.splice = "FAIL: d^0 is not (dual aug) o aug"
-    elif N >= 2 and _exactness(eta, X.full_diff(1), snf) != "exact":
+    elif N >= 2 and _exactness(LatticeSolver(eta), X.solver(1)) != "exact":
         audit.splice = "FAIL: im(Z -> X^1) != ker(d^1)"
     else:
         audit.splice = "exact"
@@ -458,5 +457,5 @@ def validate_complete_resolution(X: CompleteResolution,
         if zq > max_zdim or X.zdim(q - 1) > max_zdim or X.zdim(q + 1) > max_zdim:
             audit.add(q, zq, "skipped (size)")
             continue
-        audit.add(q, zq, _exactness(X.full_diff(q - 1), X.full_diff(q), snf))
+        audit.add(q, zq, _exactness(X.solver(q - 1), X.solver(q)))
     return audit

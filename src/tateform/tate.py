@@ -515,14 +515,16 @@ class ShiftLift:
     Components Xi^(s): X^s -> X^{s+p} satisfy
         Xi^(s+1) o d^s = (-1)^p d^{s+p} o Xi^(s),
     anchored at s = -p by Xi(gen b) = w_b e_{(0, e)}, so that the
-    augmentation recovers w.  Downward, Xi^(s) solves d^{s+p} o Xi^(s) =
-    (-1)^p Xi^(s+1) o d^s on generators.  Upward is the same lift on
-    transposes: the transpose of an equivariant map between free modules
-    is equivariant, with generator matrix dual_gen, so Xi^(s+1) is the
-    dual of the solution of (d^s)^T o Y = ((-1)^p d^{s+p} o Xi^(s))^T.
-    Exactness and freeness make both solvable; failure raises LiftingError
-    since it indicates corrupted input, and every chain square is checked
-    after construction.
+    augmentation recovers w.  One loop extends a chain map downward:
+    Xi^(s) solves d^{s+p} o Xi^(s) = (-1)^p Xi^(s+1) o d^s on generators,
+    against X's kept elimination of d^{s+p}.  Above the anchor the same
+    loop runs on the transpose Xi*, which X's self-duality
+    (d^q)^T = d^{-q} makes a chain map of the same p and sign:
+    Xi*^(t) = (Xi^(1-t-p))^T, anchored at t = 1, with generator matrices
+    related by dual_gen.  Exactness and freeness make every step solvable;
+    failure raises LiftingError naming the degree s of Xi, since it
+    indicates corrupted input, and every chain square is checked after
+    construction.
     """
 
     def __init__(self, X, w: np.ndarray, p: int, s_lo: int, s_hi: int):
@@ -531,40 +533,33 @@ class ShiftLift:
         s_lo = min(s_lo, -p)
         s_hi = max(s_hi, -p)
         G = X.group
-        e = G.identity
         sign = -1 if p % 2 else 1
+
+        def lift_down(top, t_top, t_lo, degree):
+            # components t_lo..t_top of a chain map raising degree by p,
+            # from the one at t_top; ``degree`` names a failed t as Xi's s
+            gen = {t_top: top}
+            for t in range(t_top - 1, t_lo - 1, -1):
+                above = free_full_matrix(G, X.rank(t + 1 + p), gen[t + 1])
+                gen[t] = X.solver(t + p).solve(sign * (above @ X.diff_gen(t)))
+                if gen[t] is None:
+                    raise LiftingError("chain extension failed at degree %d"
+                                       % degree(t))
+            return gen
+
         anchor = zeros(X.zdim(0), X.rank(-p))
         for b in range(X.rank(-p)):
-            anchor[e, b] = w[b]
-        self.gen: Dict[int, IntMatrix] = {-p: anchor}
-        for s in range(-p - 1, s_lo - 1, -1):
-            rhs = sign * (self._full(s + 1) @ X.diff_gen(s))
-            sol = LatticeSolver(X.full_diff(s + p)).solve(rhs)
-            if sol is None:
-                raise LiftingError("downward chain extension failed at %d" % s)
-            self.gen[s] = sol
-        for s in range(-p, s_hi):
-            self.gen[s + 1] = self._extend_up(s, sign)
+            anchor[G.identity, b] = w[b]
+        self.gen = lift_down(anchor, -p, s_lo, lambda t: t)
+        dual = lift_down(dual_gen(G, X.rank(0), anchor), 1, 1 - s_hi - p,
+                         lambda t: 1 - t - p)
+        for s in range(1 - p, s_hi + 1):
+            self.gen[s] = dual_gen(G, X.rank(s), dual[1 - s - p])
         for s in range(s_lo, s_hi):
-            lhs = self._full(s + 1) @ X.diff_gen(s)
+            up = free_full_matrix(G, X.rank(s + 1 + p), self.gen[s + 1])
             rhs = sign * (X.full_diff(s + p) @ self.gen[s])
-            if not np.array_equal(lhs, rhs):
+            if not np.array_equal(up @ X.diff_gen(s), rhs):
                 raise LiftingError("chain square fails at degree %d" % s)
-
-    def _full(self, s: int) -> IntMatrix:
-        return free_full_matrix(self.X.group, self.X.rank(s + self.p),
-                                self.gen[s])
-
-    def _extend_up(self, s: int, sign: int) -> IntMatrix:
-        # Xi^(s+1) o d^s = L, transposed: (d^s)^T o Xi^(s+1)^T = L^T
-        X = self.X
-        G = X.group
-        L = sign * (X.full_diff(s + self.p) @ self.gen[s])
-        rhs = dual_gen(G, X.rank(s + 1 + self.p), L)
-        sol = LatticeSolver(X.full_diff(s).T).solve(rhs)
-        if sol is None:
-            raise LiftingError("upward chain extension failed at %d" % (s + 1))
-        return dual_gen(G, X.rank(s + 1), sol)
 
 
 def cup_with(X, C: GComplex, a: TateClass, q: int) -> AbMap:

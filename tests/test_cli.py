@@ -382,7 +382,8 @@ class TestRunVerb:
 
 def test_reciprocity_matrix_of_a_retyped_table(tmp_path):
     # Z/24 typed in with its identity at id 15: the reciprocity matrix is
-    # printed in the canonical basis of the coset presentation of G^ab
+    # printed in the canonical basis of the coset presentation of G^ab,
+    # reduced modulo 24 (the raw-id basis would give 17)
     G = relabel(make_cyclic(24), 2)
     assert G.identity != 0
     path = tmp_path / "z24.json"
@@ -392,11 +393,21 @@ def test_reciprocity_matrix_of_a_retyped_table(tmp_path):
     code, out, _ = invoke(["run", str(path), "--format", "json"])
     assert code == 0
     assert json.loads(out)["results"][0]["reciprocity"] == {
-        "isomorphism": True, "matrix": [[253]], "source": [24],
+        "isomorphism": True, "matrix": [[13]], "source": [24],
         "target": [24]}
     code, out, _ = invoke(["run", str(path)])
     assert code == 0
-    assert "  reciprocity Z/24 -> Z/24: isomorphism, matrix [[253]]\n" in out
+    assert "  reciprocity Z/24 -> Z/24: isomorphism, matrix [[13]]\n" in out
+    # every entry lies in [0, t) for the target's invariant factor t
+    for n, seed in [(12, 0), (12, 1), (16, 0), (16, 1)]:
+        table = [list(r) for r in relabel(make_cyclic(n), seed).table]
+        path.write_text(json.dumps(minimal_doc(
+            group={"kind": "table", "table": table}, options={"window": 4})))
+        code, out, _ = invoke(["run", str(path), "--format", "json"])
+        assert code == 0
+        rec = json.loads(out)["results"][0]["reciprocity"]
+        assert rec["target"] == [n]
+        assert all(0 <= x < n for row in rec["matrix"] for x in row), (n, seed)
 
 
 def test_console_script_is_wired():

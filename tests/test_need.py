@@ -219,10 +219,11 @@ def test_a_tate_analysis_builds_only_the_degrees_it_reads(monkeypatch, G):
     assert len(kernels) == 3
 
 
-def _recorded_needs(monkeypatch, shapes=None):
+def _recorded_needs(monkeypatch, shapes=None, inputs=None):
     """The ``need`` of every elimination, calls made through resolutions'
     own name for smith_normal_form included; the shape of each input is
-    appended to ``shapes`` when it is given."""
+    appended to ``shapes``, and the input itself to ``inputs``, when
+    given."""
     needs = []
     original = intlinalg.smith_normal_form
 
@@ -230,6 +231,8 @@ def _recorded_needs(monkeypatch, shapes=None):
         needs.append(need)
         if shapes is not None:
             shapes.append(a.shape)
+        if inputs is not None:
+            inputs.append(a)
         return original(a, need)
 
     monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
@@ -476,6 +479,23 @@ def test_tate_nakayama_builds_the_z_groups_once(monkeypatch):
     builds = _counting_builds(monkeypatch)
     assert tate.tate_nakayama_check(X, C, a, -2, 3).verdict == "PASS"
     assert _z_builds(builds, X, C, made) == [(-4, 1)]
+
+
+def test_cups_and_the_audit_eliminate_each_map_of_x_once(monkeypatch):
+    # every cup's chain lift solves against X's kept elimination of a map,
+    # and the exactness audit reads the same ones: no d^q reaches
+    # smith_normal_form twice.  The audit reads every map but d^{N-1}
+    G = groups.make_cyclic(6)
+    X = complete_resolution(periodic_resolution(G, 6))
+    C = concentrate(zmodule(G), 0)
+    a = tate.tate_hypercohomology(X, C, 2, 2).class_at(2, (1,))
+    inputs = []
+    _recorded_needs(monkeypatch, inputs=inputs)
+    assert tate.tate_nakayama_check(X, C, a, -2, 3).verdict == "PASS"
+    assert validate_complete_resolution(X).passed
+    maps = [X.full_diff(q) for q in range(-X.window, X.window)]
+    counts = [sum(x is d for x in inputs) for d in maps]
+    assert counts == [1] * (len(maps) - 1) + [0]
 
 
 def test_reciprocity_map_builds_the_z_groups_once(monkeypatch):

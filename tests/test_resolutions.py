@@ -390,18 +390,24 @@ class TestComplete:
         assert np.array_equal(X.full_diff(0), intmat([[1, 1], [1, 1]]))
 
     def test_dual_gen_matches_full_transpose(self):
-        # reference: generator columns (b, e) of the transposed full matrix
+        # reference: generator columns (b, e) of the transposed full matrix.
+        # X is self-dual, which ShiftLift's lift above its anchor relies on
         C2 = make_cyclic(2)
         for res in (periodic_resolution(make_cyclic(4), 3),
                     periodic_resolution(make_cyclic(6), 4),
                     peeled_resolution(symmetric_group(3), 4),
                     peeled_resolution(direct_product(C2, C2), 4),
-                    bar_resolution(make_cyclic(3), 3)):
+                    bar_resolution(make_cyclic(3), 3),
+                    peeled_resolution(relabel(symmetric_group(3), 1), 4)):
             X = complete_resolution(res)
-            n, e = res.group.order, res.group.identity
-            for q in range(1, X.window):
+            N, n, e = X.window, res.group.order, res.group.identity
+            for q in range(1, N):
                 cols = [b * n + e for b in range(res.ranks[q - 1])]
                 assert np.array_equal(X.diff_gen(q), res.full(q).T[:, cols])
+            for q in range(1 - N, N):
+                assert np.array_equal(X.full_diff(q).T, X.full_diff(-q)), q
+            for q in range(1 - N, N + 1):
+                assert X.rank(1 - q) == X.rank(q), q
 
     def test_window_bounds(self):
         X = complete_resolution(periodic_resolution(make_cyclic(2), 2))

@@ -454,8 +454,9 @@ _LIFT_SETUPS = {
 
 
 class TestUpwardLift:
-    """ShiftLift above its anchor, where each component is the transposed
-    downward lift."""
+    """ShiftLift above its anchor, where each component is the dual of a
+    component of the transposed chain map Xi*, lifted downward by the same
+    loop as the components below the anchor."""
 
     @pytest.mark.parametrize("p", [-2, 0, 2])
     @pytest.mark.parametrize("name", sorted(_LIFT_SETUPS))
