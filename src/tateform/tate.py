@@ -124,30 +124,33 @@ def _add_precomposed(out: IntMatrix, dst: HomBlock, src: HomBlock,
 
 
 class TotalComplex:
-    """Degrees [qlo-1, qhi+1] of the total Hom complex, with differentials
-    on [qlo-1, qhi] and a d o d = 0 audit (mod coefficient relators) over
-    every consecutive pair."""
+    """The total Hom complex of (X, C), grown by degree: cover(qlo, qhi)
+    adds the degrees [qlo-1, qhi+1] and differentials on [qlo-1, qhi] not
+    held yet, and audits d o d = 0 (mod coefficient relators) on each new
+    consecutive pair, one that joins two covers included."""
 
     def __init__(self, X, C: GComplex, qlo: int, qhi: int):
+        self.X, self.C = X, C
+        self.blocks: Dict[int, List[HomBlock]] = {}
+        self.dim: Dict[int, int] = {}
+        self.rel: Dict[int, IntMatrix] = {}
+        self.diff: Dict[int, IntMatrix] = {}
+        self._rel_solvers: Dict[int, LatticeSolver] = {}
+        self.cover(qlo, qhi)
+
+    def cover(self, qlo: int, qhi: int) -> None:
+        X, C = self.X, self.C
         if qlo > qhi:
             raise ValidationError("empty degree range [%d, %d]" % (qlo, qhi))
-        need_lo = C.lo - qhi - 1
-        need_hi = C.hi - qlo + 1
-        N = X.window
+        need_lo, need_hi, N = C.lo - qhi - 1, C.hi - qlo + 1, X.window
         if need_lo < -N or need_hi > N:
             raise WindowError(
                 "degrees [%d, %d] with coefficient support [%d, %d] need "
                 "resolution degrees [%d, %d]; window is [-%d, %d]"
                 % (qlo, qhi, C.lo, C.hi, need_lo, need_hi, N, N))
-        self.X = X
-        self.C = C
-        self.qlo = qlo
-        self.qhi = qhi
-        self.blocks: Dict[int, List[HomBlock]] = {}
-        self.dim: Dict[int, int] = {}
-        for q in range(qlo - 1, qhi + 2):
-            blocks = []
-            offset = 0
+        # every new degree is sized before any matrix is built
+        for q in [q for q in range(qlo - 1, qhi + 2) if q not in self.blocks]:
+            blocks, offset = [], 0
             for j in C.degrees():
                 blk = HomBlock(j, j - q, X.rank(j - q), C.term(j).gens, offset)
                 blocks.append(blk)
@@ -156,17 +159,20 @@ class TotalComplex:
                 raise CapExceeded(
                     "total complex degree %d has dimension %d, cap is %d"
                     % (q, offset, TOTAL_DIM_CAP))
-            self.blocks[q] = blocks
-            self.dim[q] = offset
-        self.rel: Dict[int, IntMatrix] = {
-            q: block_diag([block_diag([C.term(b.j).relators] * b.rank)
-                           for b in blocks]) if blocks else zeros(0, 0)
-            for q, blocks in self.blocks.items()}
-        self._rel_solvers: Dict[int, LatticeSolver] = {}
-        self.diff: Dict[int, IntMatrix] = {}
-        for q in range(qlo - 1, qhi + 1):
-            self.diff[q] = self._assemble(q)
-        self._audit()
+            self.blocks[q], self.dim[q] = blocks, offset
+        for q in self.blocks.keys() - self.rel.keys():
+            self.rel[q] = block_diag(
+                [block_diag([C.term(b.j).relators] * b.rank)
+                 for b in self.blocks[q]]) if self.blocks[q] else zeros(0, 0)
+        new = [q for q in range(qlo - 1, qhi + 1) if q not in self.diff]
+        self.diff.update((q, self._assemble(q)) for q in new)
+        # d o d on each built pair (d^q, d^{q+1}) with a member in new
+        built = {q for q in self.diff if q + 1 in self.diff}
+        for q in sorted(built & {p for n in new for p in (n - 1, n)}):
+            prod = matmul(self.diff[q + 1], self.diff[q])
+            if not self._in_relator_span(q + 2, prod):
+                raise ValidationError(
+                    "total complex fails d o d = 0 at degree %d" % q)
 
     def _assemble(self, q: int) -> IntMatrix:
         src = self.blocks[q]
@@ -187,13 +193,6 @@ class TotalComplex:
                                  self.C.term(b.j).pattern, hsign)
         return D
 
-    def _audit(self) -> None:
-        for q in range(self.qlo - 1, self.qhi):
-            prod = matmul(self.diff[q + 1], self.diff[q])
-            if not self._in_relator_span(q + 2, prod):
-                raise ValidationError(
-                    "total complex fails d o d = 0 at degree %d" % q)
-
     def _in_relator_span(self, q: int, cols: IntMatrix) -> bool:
         rel = self.rel[q]
         if rel.shape[1] == 0 or cols.shape[1] == 0:
@@ -204,7 +203,7 @@ class TotalComplex:
         return solver.contains(cols)
 
     def homology(self, q: int) -> Subquotient:
-        if not self.qlo <= q <= self.qhi:
+        if q - 1 not in self.diff or q not in self.diff:
             raise ValidationError("degree %d outside computed range" % q)
         numerator = preimage_lattice(self.diff[q], self.rel[q + 1])
         denominator = hstack([self.diff[q - 1], self.rel[q]])
@@ -235,31 +234,30 @@ class TateClass:
 
 
 class TateGroups:
-    """Per-degree Tate groups over a range, with stored subquotients and
-    representative cocycles.
-
-    Construction asserts that every group is finite (they are killed by
-    |G|) and that every stored representative really is a cocycle.
-    """
+    """Per-degree Tate groups of a total complex, with stored subquotients
+    and representative cocycles.  cover(qlo, qhi) covers the complex and
+    reduces each degree of [qlo, qhi] not held yet, asserting that its group
+    is finite (they are killed by |G|) and its representatives cocycles."""
 
     def __init__(self, total: TotalComplex, qlo: int, qhi: int):
         self.total = total
-        self.qlo = qlo
-        self.qhi = qhi
         self._sub: Dict[int, Subquotient] = {}
-        for q in range(qlo, qhi + 1):
-            sq = total.homology(q)
+        self.cover(qlo, qhi)
+
+    def cover(self, qlo: int, qhi: int) -> None:
+        new = [q for q in range(qlo, qhi + 1) if q not in self._sub]
+        if new or qlo > qhi:  # held degrees passed the window check
+            self.total.cover(qlo, qhi)
+        for q in new:
+            sq = self.total.homology(q)
             if not sq.group.is_finite:
                 raise ValidationError(
                     "Tate group at degree %d came out infinite" % q)
-            if not total._in_relator_span(q + 1,
-                                          matmul(total.diff[q], sq.group.basis_lift)):
+            if not self.total._in_relator_span(
+                    q + 1, matmul(self.total.diff[q], sq.group.basis_lift)):
                 raise ValidationError(
                     "representative at degree %d is not a cocycle" % q)
             self._sub[q] = sq
-
-    def degrees(self) -> range:
-        return range(self.qlo, self.qhi + 1)
 
     def subquotient(self, q: int) -> Subquotient:
         return self._sub[q]
@@ -299,23 +297,23 @@ class TateGroups:
 
 def _kept(X, C: GComplex) -> SimpleNamespace:
     """X._tate[id(C)]: C, held so that its id stays its own while X lives,
-    the Tate groups built for C over the ranges asked, and C coinduced from
-    the subgroups asked, by their elements.  X._tate["Z"] is Z's entry."""
+    its one growing TateGroups (None before the first read), and C coinduced
+    from the subgroups asked, by their elements.  X._tate["Z"] is Z's."""
     if id(C) not in X._tate:
-        X._tate[id(C)] = SimpleNamespace(C=C, groups=[], coinduced={})
+        X._tate[id(C)] = SimpleNamespace(C=C, groups=None, coinduced={})
     return X._tate[id(C)]
 
 
 def tate_hypercohomology(X, C: GComplex, qlo: int, qhi: int) -> TateGroups:
-    """Tate hypercohomology of C over [qlo, qhi], kept on X.  A request reads
-    the first kept groups of C whose range holds [qlo, qhi]: generators at a
-    degree do not depend on the range.  A miss builds exactly [qlo, qhi]."""
-    kept = _kept(X, C).groups
-    for T in kept:
-        if T.qlo <= qlo <= qhi <= T.qhi:
-            return T
-    kept.append(TateGroups(TotalComplex(X, C, qlo, qhi), qlo, qhi))
-    return kept[-1]
+    """Tate hypercohomology of C over [qlo, qhi], kept on X as one object per
+    C that grows by degree: a request checks [qlo, qhi] against the window
+    and builds only the degrees it does not hold yet."""
+    kept = _kept(X, C)
+    if kept.groups is None:
+        kept.groups = TateGroups(TotalComplex(X, C, qlo, qhi), qlo, qhi)
+    else:
+        kept.groups.cover(qlo, qhi)
+    return kept.groups
 
 
 def _z_groups(X, qlo: int, qhi: int) -> TateGroups:
@@ -722,7 +720,8 @@ def tate_nakayama_check(X, C: GComplex, a: TateClass,
         if not ok2 and report.failed_hypothesis is None:
             report.failed_hypothesis = "(ii)"
     if report.failed_hypothesis is None and qlo <= qhi:
-        # one build over the whole range serves every degree's cup
+        # the conclusion's range is checked against the window as a whole,
+        # so a window too small names it and not one degree's cup
         tate_hypercohomology(X, C, min(qlo, 2), max(qhi, 2))
         _z_groups(X, qlo - 2, qhi - 2)
         for q in range(qlo, qhi + 1):

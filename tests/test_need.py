@@ -312,15 +312,23 @@ def test_norm_table_coinduces_each_proper_subgroup_once(monkeypatch):
 
 def test_tate_nakayama_reads_its_candidate_from_the_hypotheses(monkeypatch):
     # the candidate class comes from C's groups over [1, 2], the range the
-    # hypotheses read, so X's degree 2 is assembled for [1, 2] and the
-    # conclusion, plus the Z groups and the two proper subgroups of Z/4:
-    # five total complexes, where reading it over [2, 2] made six
+    # hypotheses read, so C's d^0, d^1 and d^2 are assembled once and the
+    # conclusion over [-2, 3] adds only the degrees they lack.  The Z
+    # groups and the two proper subgroups of Z/4 get their own complexes
     builds = _counting_builds(monkeypatch)
+    seen = _recording_degrees(monkeypatch)
     with redirect_stdout(io.StringIO()):
         assert cli.main(["demo", "tn-cyclic-4"]) == 0
     assert [(b[1].name,) + b[2:] for b in builds] == [
         ("Z[at 0]", 1, 2), ("coind(Z[at 0])", 1, 2), ("coind(Z[at 0])", 1, 2),
-        ("Z[at 0]", -2, 3), ("Z[at 0]", -4, 1)]
+        ("Z[at 0]", -4, 1)]
+    C = builds[0][1]
+    assert [(kind, q) for kind, _, D, q in seen if D is C] == [
+        ("_assemble", 0), ("_assemble", 1), ("_assemble", 2),
+        ("homology", 1), ("homology", 2),
+        ("_assemble", -3), ("_assemble", -2), ("_assemble", -1),
+        ("_assemble", 3),
+        ("homology", -2), ("homology", -1), ("homology", 0), ("homology", 3)]
 
 
 def test_norm_table_reuses_the_formation_reciprocity_map(monkeypatch):
@@ -354,6 +362,21 @@ def _counting_builds(monkeypatch):
 
     monkeypatch.setattr(tate.TotalComplex, "__init__", wrapper)
     return builds
+
+
+def _recording_degrees(monkeypatch):
+    """Every differential assembled and every homology degree reduced, as
+    (method, resolution, complex, q)."""
+    seen = []
+    for name in ("_assemble", "homology"):
+        original = getattr(tate.TotalComplex, name)
+
+        def wrapper(self, q, name=name, original=original):
+            seen.append((name, self.X, self.C, q))
+            return original(self, q)
+
+        monkeypatch.setattr(tate.TotalComplex, name, wrapper)
+    return seen
 
 
 def _counting_coinduced(monkeypatch):
@@ -432,17 +455,21 @@ def test_formation_models_one_subgroup_per_conjugacy_class(
 def test_tate_nakayama_models_one_subgroup_per_conjugacy_class(
         monkeypatch, name, models):
     # hypotheses (i) and (ii) range over every subgroup, G included; G's
-    # row reads X's own groups of C over [1, 2], the one build of C
+    # row grows X's own groups of C from [2, 2] to [1, 2]: no second total
+    # complex, only d^0 assembled and H^1 reduced
     G, X = _s3_s4(name)
     C = concentrate(zmodule(G), 0)
     a = tate.tate_hypercohomology(X, C, 2, 2).class_at(2, (1,))
     made = _counting_coinduced(monkeypatch)
     builds = _counting_builds(monkeypatch)
+    seen = _recording_degrees(monkeypatch)
     report = tate.tate_nakayama_check(X, C, a, 1, 0)
     assert len(report.h1_rows) == len(groups.all_subgroups(G))
     assert len(_subgroup_builds(builds, made)) == models
-    assert [b[2:] for b in builds if b[0] is X and
-            not any(b[1] is D for D in made)] == [(1, 2)]
+    assert [b for b in builds if b[0] is X and
+            not any(b[1] is D for D in made)] == []
+    assert [(kind, q) for kind, _, D, q in seen if D is C] == [
+        ("_assemble", 0), ("homology", 1)]
 
 
 def test_a_formation_scenario_enumerates_subgroups_once(monkeypatch):
@@ -547,10 +574,11 @@ def test_hypotheses_only_check_builds_the_groups_of_g_once(monkeypatch):
     assert builds == []
 
 
-def test_no_scenario_rebuilds_a_range_it_holds(monkeypatch):
-    # formation, the norm table and Tate-Nakayama read the groups kept per
-    # (resolution, complex), and cone-les reads C's for every m: no build
-    # repeats a range inside one already built for the same pair
+def test_no_scenario_builds_a_degree_twice(monkeypatch):
+    # one total complex per (resolution, complex), grown by degree: over
+    # the bundled demos and a formation, norm-table and Tate-Nakayama
+    # document, no differential is assembled twice and no homology degree
+    # reduced twice for the same pair
     doc = {"name": "cyclic-12-formation",
            "group": {"kind": "table",
                      "table": [list(r) for r in groups.make_cyclic(12).table]},
@@ -558,35 +586,43 @@ def test_no_scenario_rebuilds_a_range_it_holds(monkeypatch):
            "analyses": [{"kind": "formation"}, {"kind": "norm-table"},
                         {"kind": "tate-nakayama"}]}
     builds = _counting_builds(monkeypatch)
+    seen = _recording_degrees(monkeypatch)
     report = cli.run_scenario(cli.parse_scenario(doc))
     assert [r.get("verdict") for r in report["results"]] == [
         "PASS", "ok", "PASS"]
     with redirect_stdout(io.StringIO()):
-        assert cli.main(["demo", "cone-les-z2"]) == 0
-    assert builds
-    for i, (X, C, lo, hi) in enumerate(builds):
-        for Y, D, lo_held, hi_held in builds[:i]:
-            assert not (Y is X and D is C and lo_held <= lo <= hi <= hi_held), \
-                (i, lo, hi)
+        for name in scenarios.bundled_names():
+            assert cli.main(["demo", name]) == 0, name
+    pairs = Counter((id(X), id(C)) for X, C, _, _ in builds)
+    assert [(C.name, lo, hi) for X, C, lo, hi in builds
+            if pairs[id(X), id(C)] > 1] == []
+    triples = Counter((kind, id(X), id(C), q) for kind, X, C, q in seen)
+    assert len(triples) > 100
+    assert [(kind, C.name, q) for kind, X, C, q in seen
+            if triples[kind, id(X), id(C), q] > 1] == []
 
 
 def test_norm_table_reads_g_and_its_groups_from_the_formation(monkeypatch):
-    # the reciprocity map kept G's groups over [0, 2], which hold the norm
-    # table's [0, 0], and the row for V = G reads them: only the five
-    # proper subgroups of Z/12 get a complex
+    # the formation kept G's groups over [0, 2], which hold the norm
+    # table's [0, 0] and serve the row for V = G, and each proper
+    # subgroup's over [1, 2]: the norm table builds no total complex, and
+    # each of the five proper subgroups of Z/12 gains only d^-1 and H^0
     G = groups.make_cyclic(12)
     X = complete_resolution(periodic_resolution(G, 4))
     C = concentrate(zmodule(G), 0)
     made = _counting_coinduced(monkeypatch)
     report = check_class_formation(X, C)
     builds = _counting_builds(monkeypatch)
+    seen = _recording_degrees(monkeypatch)
     table = formation.norm_group_table(X, C, report.fundamental,
                                        report.reciprocity)
     assert table.passed and len(table.rows) == 6
-    assert [b[2:] for b in builds] == [(0, 0)] * 5
-    assert len(_subgroup_builds(builds, made)) == 5
+    assert builds == []
+    assert [(kind, q) for kind, _, _, q in seen] == [
+        ("_assemble", -1), ("homology", 0)] * 5
     # the norm table's [0, 0] reads the formation's coinduced complexes
     assert len(made) == 5
+    assert {id(D) for _, _, D, _ in seen} == {id(D) for D in made}
 
 
 C2 = groups.make_cyclic(2)

@@ -34,6 +34,7 @@ from tateform.resolutions import (
 from tateform.tate import (
     ShiftLift,
     SubgroupPair,
+    TateGroups,
     TotalComplex,
     _z_groups,
     coinduced,
@@ -101,7 +102,7 @@ class TestClassicalPattern:
         # every class has order dividing |G|
         G, X = cyclic_setup(6)
         T = tate_hypercohomology(X, concentrate(zmodule(G), 0), -2, 2)
-        for q in T.degrees():
+        for q in range(-2, 3):
             for t in T.invariants(q):
                 assert 6 % t == 0
 
@@ -208,6 +209,96 @@ class TestHypercomplexes:
             for i in range(sq.group.ngens):
                 image = T.total.diff[q] @ sq.representative(i)
                 assert T.total._in_relator_span(q + 1, image.reshape(-1, 1))
+
+
+def _growth_setup(name):
+    if name == "Z6-Z":
+        G, X = cyclic_setup(6)
+        return X, concentrate(zmodule(G), 0)
+    if name == "S3-Z-at-2":
+        G, X = s3_setup()
+        return X, concentrate(zmodule(G), 2)
+    if name == "Z4-regular":
+        G, X = cyclic_setup(4)
+        return X, concentrate(regular_module(G), 0)
+    G, X = s3_setup()
+    H = next(H for H in all_subgroups(G) if H.order == 2)
+    return X, coinduced(concentrate(zmodule(G), 0), H)
+
+
+class TestGrowth:
+    """A total complex and its groups grow by degree: whatever the order of
+    the reads, the result is that of one build over their union."""
+
+    @pytest.mark.parametrize("name", ["Z6-Z", "S3-Z-at-2", "Z4-regular",
+                                      "S3-coinduced"])
+    @pytest.mark.parametrize("reads", [
+        [(1, 2), (-2, 3)],
+        [(-2, -2), (3, 3), (-2, 3)],
+        [(0, 0), (2, 2), (1, 1)],
+    ], ids=["inside-out", "ends-then-all", "gaps-filled"])
+    def test_any_read_order_gives_one_builds_result(self, name, reads):
+        X, C = _growth_setup(name)
+        grown = [tate_hypercohomology(X, C, lo, hi) for lo, hi in reads]
+        T = grown[0]
+        assert all(t is T for t in grown)
+        lo = min(r[0] for r in reads)
+        hi = max(r[1] for r in reads)
+        one = TateGroups(TotalComplex(X, C, lo, hi), lo, hi)
+        mine, theirs = T.total, one.total
+        assert mine.blocks.keys() == theirs.blocks.keys()
+        for q in theirs.blocks:
+            assert ([(b.j, b.s, b.rank, b.gens, b.offset)
+                     for b in mine.blocks[q]]
+                    == [(b.j, b.s, b.rank, b.gens, b.offset)
+                        for b in theirs.blocks[q]]), q
+        assert mine.dim == theirs.dim
+        for part in ("rel", "diff"):
+            a, b = getattr(mine, part), getattr(theirs, part)
+            assert a.keys() == b.keys(), part
+            for q in b:
+                assert np.array_equal(a[q], b[q]), (part, q)
+        for q in range(lo, hi + 1):
+            assert T.invariants(q) == one.invariants(q), q
+            reps = [one.representative(q, i)
+                    for i in range(one.group(q).ngens)]
+            for i, rep in enumerate(reps):
+                assert np.array_equal(T.representative(q, i), rep), (q, i)
+            # each representative, and a combination moved by a coboundary
+            boundary = theirs.diff[q - 1] @ np.ones(theirs.dim[q - 1],
+                                                    dtype=object)
+            for v in reps + [sum((i + 2) * r for i, r in enumerate(reps))
+                             + boundary]:
+                assert T.classify(q, v) == one.classify(q, v), q
+
+    def test_a_kept_object_refuses_an_empty_range(self):
+        G, X = cyclic_setup(6)
+        C = concentrate(zmodule(G), 0)
+        tate_hypercohomology(X, C, 0, 2)
+        with pytest.raises(ValidationError, match=r"empty degree range \[2, 1\]"):
+            tate_hypercohomology(X, C, 2, 1)
+
+    @pytest.mark.parametrize("held, asked, corrupt, pair", [
+        ((0, 1), (2, 2), 2, 1),
+        ((2, 3), (1, 1), 0, 0),
+    ], ids=["above", "below"])
+    def test_the_audit_spans_covers(self, monkeypatch, held, asked, corrupt,
+                                    pair):
+        # over Z/6 with Z the differentials alternate 0 (even q) and 6 (odd
+        # q): a later cover's d^q with 1 added where it was 0 fails d o d
+        # against the 6 built by the earlier cover next to it
+        G, X = cyclic_setup(6)
+        original = TotalComplex._assemble
+
+        def corrupted(self, q):
+            D = original(self, q)
+            return D + 1 if q == corrupt else D
+
+        monkeypatch.setattr(TotalComplex, "_assemble", corrupted)
+        total = TotalComplex(X, concentrate(zmodule(G), 0), *held)
+        with pytest.raises(ValidationError,
+                           match="fails d o d = 0 at degree %d$" % pair):
+            total.cover(*asked)
 
 
 class TestRestrictionCorestriction:
@@ -347,8 +438,9 @@ class TestCupProducts:
     @pytest.mark.parametrize("setup", ["Z6", "S3"])
     def test_one_z_group_over_the_range_gives_the_same_cups(self, setup):
         # a total complex's blocks, differentials and relators at a degree
-        # do not depend on its range, so the Z group kept over [-4, 1]
-        # gives every degree the generators of a build of that degree alone
+        # do not depend on the covers that built it, so the Z groups grown
+        # one degree per cup give every degree the generators of one build
+        # over [-4, 1]
         def fresh():
             if setup == "Z6":
                 G = make_cyclic(6)
@@ -369,9 +461,10 @@ class TestCupProducts:
         tate_hypercohomology(X2, C2, -2, 3)
         _z_groups(X2, -4, 1)
         shared, io_shared = cups(X2, C2, a2)
-        for p in range(-4, 2):
-            assert (_z_groups(X1, p, p).qlo, _z_groups(X1, p, p).qhi) == (p, p)
-            assert (_z_groups(X2, p, p).qlo, _z_groups(X2, p, p).qhi) == (-4, 1)
+        for X in (X1, X2):
+            T = X._tate["Z"].groups
+            assert sorted(T.total.diff) == list(range(-5, 2))
+            assert all(_z_groups(X, p, p) is T for p in range(-4, 2))
         for q, one, wide in zip(range(-2, 4), alone, shared):
             assert wide.matrix.tolist() == one.matrix.tolist(), q
             assert wide.source.invariants() == one.source.invariants(), q
