@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import CapExceeded, ValidationError
 from .intlinalg import AbGroup, cokernel_structure, zeros
 
@@ -39,7 +41,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "table", "identity", "name", "_inverse",
-                 "_abelianization", "_subgroups")
+                 "inverses", "_abelianization", "_subgroups")
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G"):
         n = len(table)
@@ -80,6 +82,7 @@ class FiniteGroup:
                 raise ValidationError(f"element {a} has no inverse")
             inverse.append(inv_a)
         self._inverse = tuple(inverse)
+        self.inverses = np.array(inverse, dtype=np.intp)  # for index maps
 
         for a in range(n):
             ta = self.table[a]

@@ -7,9 +7,12 @@ second slot.  A G-equivariant map out of a free module is stored as a
 *generator matrix*: the column for generator a is the image of the basis
 element (a, e).  Columns for the remaining basis vectors are recovered by
 acting, which keeps the stored data |G| times smaller than the full
-Z-matrix and makes equivariance automatic.
+Z-matrix and makes equivariance automatic.  Resolutions store it as
+sorted coordinate lists (GenLists), with a dense view made on first read.
 """
 
+from collections import namedtuple
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,46 +59,60 @@ def free_full_matrix(G: FiniteGroup, rank_target: int, gen: IntMatrix) -> IntMat
     return out
 
 
+class GenLists(namedtuple("GenLists", "rows cols vals shape")):
+    """A generator matrix as resolutions store it and assembly reads it:
+    vals[k] at (rows[k], cols[k]) of the given shape, sorted by position,
+    each position once, no zero.  ``dense`` is made on first read, kept."""
+
+    @classmethod
+    def of(cls, gen: IntMatrix) -> "GenLists":
+        rows, cols = np.nonzero(gen)
+        return cls(rows, cols, gen[rows, cols], gen.shape)
+
+    @cached_property
+    def dense(self) -> IntMatrix:
+        out = zeros(*self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def dual(self, G: FiniteGroup) -> "GenLists":
+        """The Z-dual's lists, columns (b, e) of the transposed full matrix:
+        (a |G| + tau, b) goes to (b |G| + tau^-1, a), as the full entry
+        ((a, e), (b, sigma)) is (a |G| + sigma^-1, b).  Dualizing twice
+        gives the lists back."""
+        n, (m, r) = G.order, self.shape
+        a, tau = np.divmod(self.rows, n)
+        rows = self.cols * n + G.inverses[tau]
+        order = np.lexsort((a, rows))
+        return GenLists(rows[order], a[order], self.vals[order], (r * n, m // n))
+
+
 def dual_gen(G: FiniteGroup, rank_target: int, gen: IntMatrix) -> IntMatrix:
     """Generator matrix of the Z-dual of the map Z[G]^r -> Z[G]^s with
-    generator matrix gen: the columns (b, e) of the transposed full matrix.
-
-    Entry ((b, sigma), (a, e)) of the transpose is entry ((a, e), (b, sigma))
-    of the full matrix, which the block permutation takes from
-    gen[(a, sigma^-1), b].  So column a of the dual lists those entries over
-    the rows (b, sigma), and the full matrix is never built.  Dualizing
-    twice gives gen back: dual_gen(G, r, dual_gen(G, s, gen)) == gen.
-    """
-    n = G.order
-    rows, r = gen.shape
-    if rows != rank_target * n:
-        raise ValidationError(
-            "generator matrix has %d rows, expected %d" % (rows, rank_target * n)
-        )
-    inv = np.asarray([G.inv(sigma) for sigma in range(n)], dtype=np.intp)
-    out = zeros(r * n, rank_target)
-    for a in range(rank_target):
-        out[:, a] = gen[a * n + inv, :].T.reshape(-1)
-    return out
+    generator matrix gen (see GenLists.dual)."""
+    if gen.shape[0] != rank_target * G.order:
+        raise ValidationError("generator matrix has %d rows, expected %d"
+                              % (gen.shape[0], rank_target * G.order))
+    return GenLists.of(gen).dual(G).dense
 
 
 class FreeResolution:
     """A free resolution P_N -> ... -> P_1 -> P_0 -> Z -> 0, built one
     degree at a time as it is read: the length N is only a cap.
 
-    ``step(res, i)`` gives the generator matrix of d_i: P_i -> P_{i-1}
-    from the degrees below i only, so a matrix does not depend on which
-    read builds it.  ``d_gen(i)``, the one place a degree is built, and
-    ``rank(i)`` build the missing degrees up to i in order.  ranks and
-    dgens hold the degrees built so far (dgens[0] is None); aug is the
-    full 1 x (ranks[0]*|G|) row of the augmentation P_0 -> Z.  Validation
-    of d o d = 0 and exactness is deliberately deferred to
-    validate_complete_resolution, because full-matrix composites are
-    quadratically larger than the stored data.
+    ``step(res, i)`` gives the GenLists of d_i: P_i -> P_{i-1} from the
+    degrees below i only, so a matrix does not depend on which read builds
+    it.  ``d_lists(i)``, the one place a degree is built, and ``rank(i)``
+    build the missing degrees up to i in order; ``d_gen(i)`` is the lists'
+    dense view.  ranks and dgens hold the degrees built so far (dgens[0]
+    is None); aug is the full 1 x (ranks[0]*|G|) row of the augmentation
+    P_0 -> Z.  Validation of d o d = 0 and exactness is deliberately
+    deferred to validate_complete_resolution, because full-matrix
+    composites are quadratically larger than the stored data.
     """
 
     def __init__(self, G: FiniteGroup, length: int,
-                 step: Callable[["FreeResolution", int], IntMatrix],
+                 step: Callable[["FreeResolution", int], GenLists],
                  aug: IntMatrix, engine: str = "custom"):
         if length < 0:
             raise ValidationError("resolution needs at least degree 0")
@@ -104,12 +121,12 @@ class FreeResolution:
         self.group = G
         self.length = length
         self.ranks = [aug.shape[1] // G.order]
-        self.dgens: List[Optional[IntMatrix]] = [None]
+        self.dgens: List[Optional[GenLists]] = [None]
         self.aug = aug
         self.engine = engine
         self._step = step
 
-    def d_gen(self, i: int) -> IntMatrix:
+    def d_lists(self, i: int) -> GenLists:
         if not 1 <= i <= self.length:
             raise ValidationError("no differential %d in a resolution of "
                                   "length %d" % (i, self.length))
@@ -122,10 +139,13 @@ class FreeResolution:
             self.dgens.append(d)
         return self.dgens[i]
 
+    def d_gen(self, i: int) -> IntMatrix:
+        return self.d_lists(i).dense
+
     def rank(self, i: int) -> int:
         """Z[G]-rank of P_i; degree i is built first."""
         if i:
-            self.d_gen(i)
+            self.d_lists(i)
         return self.ranks[i]
 
     def full(self, i: int) -> IntMatrix:
@@ -152,14 +172,13 @@ def bar_resolution(G: FiniteGroup, length: int) -> FreeResolution:
     return FreeResolution(G, length, _bar_step, aug, engine="bar")
 
 
-def _bar_step(res: FreeResolution, i: int) -> IntMatrix:
-    # every generator b = [g_1|...|g_i] at once, its g's the base-|G|
-    # digits of b, big-endian; face k carries the sign (-1)^k
-    G = res.group
-    n, e = G.order, G.identity
+def _bar_step(res: FreeResolution, i: int) -> GenLists:
+    # every generator b = [g_1|...|g_i] at once, its g's the base-|G| digits
+    # of b, big-endian; face k carries the sign (-1)^k, summed where faces meet
+    n, e = res.group.order, res.group.identity
     b = np.arange(n ** i)
     g = b[:, None] // n ** np.arange(i - 1, -1, -1) % n
-    table = np.asarray(G.table, dtype=np.intp)
+    table = np.asarray(res.group.table, dtype=np.intp)
     # leading face: g_1 . [g_2|...|g_i]
     faces = [b % n ** (i - 1) * n + g[:, 0]]
     # middle faces: [g_1|...|g_j g_{j+1}|...|g_i]
@@ -168,10 +187,12 @@ def _bar_step(res: FreeResolution, i: int) -> IntMatrix:
         faces.append((merged * n ** (i - j - 2) + b % n ** (i - j - 2)) * n + e)
     # trailing face: [g_1|...|g_{i-1}]
     faces.append(b // n * n + e)
-    d = zeros(n ** i, n ** i)
-    for k, rows in enumerate(faces):
-        d[rows, b] += (-1) ** k  # one entry per column: no position repeats
-    return d
+    key, where = np.unique(np.concatenate(faces) * n ** i + np.tile(b, i + 1),
+                           return_inverse=True)
+    vals = np.bincount(where, (-1) ** np.arange(i + 1).repeat(n ** i))
+    rows, cols = np.divmod(key[vals != 0], n ** i)
+    return GenLists(rows, cols, vals[vals != 0].astype(int).astype(object),
+                    (n ** i, n ** i))
 
 
 def periodic_resolution(G: FiniteGroup, length: int) -> FreeResolution:
@@ -182,14 +203,13 @@ def periodic_resolution(G: FiniteGroup, length: int) -> FreeResolution:
     sigma = G.cyclic_generator()
     if sigma is None:
         raise ValidationError("periodic resolution needs a cyclic group")
-    n = G.order
-    e = G.identity
+    n, e = G.order, G.identity
     minus = zeros(n, 1)
     minus[sigma, 0] += 1
     minus[e, 0] += -1
     norm = np.full((n, 1), 1, dtype=object)
     return FreeResolution(G, length,
-                          lambda res, i: (minus if i % 2 == 1 else norm).copy(),
+                          lambda res, i: GenLists.of(minus if i % 2 else norm),
                           np.full((1, n), 1, dtype=object), engine="periodic")
 
 
@@ -268,7 +288,7 @@ def peeled_resolution(G: FiniteGroup, length: int) -> FreeResolution:
     return FreeResolution(G, length, _peel_step, aug, engine="peeled")
 
 
-def _peel_step(res: FreeResolution, i: int) -> IntMatrix:
+def _peel_step(res: FreeResolution, i: int) -> GenLists:
     G = res.group
     prev_rank = res.ranks[i - 1]
     kernel = kernel_basis(res.aug if i == 1 else res.full(i - 1))
@@ -283,7 +303,7 @@ def _peel_step(res: FreeResolution, i: int) -> IntMatrix:
     r = max(len(chosen), 1)
     if r > PEEL_RANK_CAP:
         raise CapExceeded("peeled rank %d exceeds cap %d" % (r, PEEL_RANK_CAP))
-    return hstack(chosen) if chosen else zeros(prev_rank * G.order, 1)
+    return GenLists.of(hstack(chosen) if chosen else zeros(prev_rank * G.order, 1))
 
 
 def resolution_for(G: FiniteGroup, length: int, engine: str = "auto") -> FreeResolution:
@@ -317,7 +337,9 @@ class CompleteResolution:
     The two halves are spliced through Z: d^0 = (dual of aug) o aug, so
     the composite X^0 -> X^1 factors through Z by construction.  X is
     self-dual: full_diff(q).T == full_diff(-q), rank(1 - q) == rank(q).
-    ``solver(q)`` keeps d^q's one elimination, for the lifts and the audit.
+    ``diff_lists(q)`` hands out d^q's GenLists, for q >= 1 the dual's
+    (GenLists.dual), and ``diff_gen(q)`` their dense view.  ``solver(q)``
+    keeps d^q's one elimination, for the lifts and the audit.
     """
 
     def __init__(self, res: FreeResolution):
@@ -325,7 +347,7 @@ class CompleteResolution:
         self.group = res.group
         self.window = res.length
         self._full_cache: Dict[int, IntMatrix] = {}
-        self._gen_cache: Dict[int, IntMatrix] = {}
+        self._lists: Dict[int, GenLists] = {}
         self._solvers: Dict[int, LatticeSolver] = {}
         self._tate: Dict[object, object] = {}  # see tate._kept
 
@@ -342,25 +364,22 @@ class CompleteResolution:
     def zdim(self, q: int) -> int:
         return self.rank(q) * self.group.order
 
-    def diff_gen(self, q: int) -> IntMatrix:
-        """Generator matrix of d^q: X^q -> X^{q+1}, for q in [-N, N-1]."""
+    def diff_lists(self, q: int) -> GenLists:
+        """Coordinate lists of d^q: X^q -> X^{q+1}, for q in [-N, N-1]."""
         if q < -self.window or q >= self.window:
             raise ValidationError("no differential at degree %d in window %d"
                                   % (q, self.window))
-        if q in self._gen_cache:
-            return self._gen_cache[q]
-        n = self.group.order
-        e = self.group.identity
         if q <= -1:
-            gen = self.res.d_gen(-q)
-        elif q == 0:
-            # columns (b, e) of the full matrix (dual of aug) o aug
-            cols = [b * n + e for b in range(self.res.rank(0))]
-            gen = self.res.aug.T @ self.res.aug[:, cols]
-        else:
-            gen = dual_gen(self.group, self.res.rank(q - 1), self.res.d_gen(q))
-        self._gen_cache[q] = gen
-        return gen
+            return self.res.d_lists(-q)
+        if q not in self._lists:
+            aug, G = self.res.aug, self.group
+            self._lists[q] = (GenLists.of(aug.T @ aug[:, G.identity::G.order])
+                              if q == 0 else self.res.d_lists(q).dual(G))
+        return self._lists[q]
+
+    def diff_gen(self, q: int) -> IntMatrix:
+        """Generator matrix of d^q, the dense view of its lists."""
+        return self.diff_lists(q).dense
 
     def full_diff(self, q: int) -> IntMatrix:
         if q not in self._full_cache:

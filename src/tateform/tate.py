@@ -54,7 +54,7 @@ from .intlinalg import (
     preimage_lattice,
     zeros,
 )
-from .resolutions import dual_gen, free_full_matrix
+from .resolutions import GenLists, dual_gen, free_full_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -103,20 +103,19 @@ def _add_per_generator(out: IntMatrix, dst: HomBlock, src: HomBlock,
 
 
 def _add_precomposed(out: IntMatrix, dst: HomBlock, src: HomBlock,
-                     dgen: IntMatrix, pattern: tuple, sign: int) -> None:
+                     d: GenLists, pattern: tuple, sign: int) -> None:
     """Add sign * (f -> f o d) to the (dst, src) block of out, d with
-    generator matrix dgen: nonzero (a |G| + tau, c) adds its value times
-    act(tau), from GModule.pattern, at generator c of dst and a of src.
-    Positions repeat across tau, so one accumulating scatter places them,
-    over chunks of at most the block's cells or dgen's, whichever is more
-    (a 1 x 1 block of Z takes the |G| nonzeros of a norm column)."""
+    generator matrix read as coordinate lists: nonzero (a |G| + tau, c) adds
+    its value times act(tau), from GModule.pattern, at generator c of dst
+    and a of src.  Positions repeat across tau, so one accumulating scatter
+    places them, over chunks of at most the block's cells or d's, whichever
+    is more (a 1 x 1 block of Z takes the |G| nonzeros of a norm column)."""
     rows_e, cols_e, vals_e = pattern
     n, z = vals_e.shape
-    rows, cols = np.nonzero(dgen)
-    vals = sign * dgen[rows, cols]
-    a, tau = np.divmod(rows, n)
-    r0, c0 = dst.offset + cols * dst.gens, src.offset + a * src.gens
-    step = max(1, max(dst.dim * src.dim, dgen.size) // max(1, z))
+    vals = sign * d.vals
+    a, tau = np.divmod(d.rows, n)
+    r0, c0 = dst.offset + d.cols * dst.gens, src.offset + a * src.gens
+    step = max(1, max(dst.dim * src.dim, d.shape[0] * d.shape[1]) // max(1, z))
     for lo in range(0, len(vals), step):
         s, t = slice(lo, lo + step), tau[lo:lo + step]
         np.add.at(out, (r0[s, None] + rows_e[t], c0[s, None] + cols_e[t]),
@@ -189,7 +188,7 @@ class TotalComplex:
             # horizontal: precompose with the resolution differential
             tgt = dst_by_j.get(b.j)
             if tgt is not None and tgt.gens:
-                _add_precomposed(D, tgt, b, self.X.diff_gen(b.s - 1),
+                _add_precomposed(D, tgt, b, self.X.diff_lists(b.s - 1),
                                  self.C.term(b.j).pattern, hsign)
         return D
 
@@ -617,21 +616,18 @@ def iota_abelianization(X) -> AbMap:
     produces the element h = -(w~ o d^1)(generator) of the augmentation
     ideal, whose coordinates map onto the abelianization.  The overall sign
     is a fixed convention; the map is validated as an isomorphism."""
-    G = X.group
-    n = G.order
+    G, n = X.group, X.group.order
     if X.rank(1) != 1:
         raise ValidationError("identification needs a rank-1 degree-0 term")
     ab, coords_of = abelianization(G)
     tz = _z_groups(X, -2, -2)
     grp = tz.group(-2)
-    dgen1 = X.diff_gen(1)
+    d1 = X.diff_lists(1)  # one column
+    b, tau = np.divmod(d1.rows, n)
     cols = []
     for i in range(grp.ngens):
-        w = tz.representative(-2, i)
         h = np.zeros(n, dtype=object)
-        for row in np.nonzero(dgen1[:, 0])[0]:
-            b, tau = divmod(int(row), n)
-            h[tau] -= dgen1[row, 0] * w[b]
+        np.subtract.at(h, tau, d1.vals * tz.representative(-2, i)[b])
         if sum(h) != 0:
             raise ValidationError("connecting element missed the "
                                   "augmentation ideal")
@@ -975,18 +971,15 @@ def cup_via_diagonal(X, diag: DiagonalApproximation, C: GComplex,
     n = X.group.order
     M = C.term(0)
     alpha_gen = tate.total.blocks[2][0].gen_matrix(a_vec)
-    delta = diag.gen[(-p, -2)]
+    delta = GenLists.of(diag.gen[(-p, -2)])
     zb = X.zdim(-2)
-    r_tgt = X.rank(-p - 2)
-    phi = zeros(M.gens, r_tgt)
-    for c in range(r_tgt):
-        for row in np.nonzero(delta[:, c])[0]:
-            u, v = divmod(int(row), zb)
-            a_idx, tau = divmod(u, n)
-            b_idx, rho = divmod(v, n)
-            val = delta[row, c] * w[a_idx]
-            if val:
-                phi[:, c] += val * (M.act(rho) @ alpha_gen[:, b_idx])
+    phi = zeros(M.gens, X.rank(-p - 2))
+    for row, c, val in zip(delta.rows, delta.cols, delta.vals):
+        u, v = divmod(int(row), zb)
+        b_idx, rho = divmod(v, n)
+        val = val * w[u // n]
+        if val:
+            phi[:, c] += val * (M.act(rho) @ alpha_gen[:, b_idx])
     vec = np.zeros(tate.total.dim[q], dtype=object)
     tate.total.blocks[q][0].put(vec, phi)
     return tate.classify(q, vec)

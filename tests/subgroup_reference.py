@@ -17,7 +17,7 @@ import numpy as np
 from tateform.gcomplexes import GComplex
 from tateform.groups import coset_representatives, right_transversal
 from tateform.intlinalg import zeros
-from tateform.resolutions import FreeResolution, complete_resolution
+from tateform.resolutions import FreeResolution, GenLists, complete_resolution
 
 from reference import as_group, restrict_module
 
@@ -51,7 +51,7 @@ def subgroup_resolution(X, H):
     res = X.res
     Hgrp, _ = as_group(H)
     return complete_resolution(FreeResolution(
-        Hgrp, res.length, lambda _, i: relabel(X.group, H, res.d_gen(i)),
+        Hgrp, res.length, lambda _, i: GenLists.of(relabel(X.group, H, res.d_gen(i))),
         res.aug, res.engine))
 
 

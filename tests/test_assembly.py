@@ -12,7 +12,9 @@ cone of multiplication by 2 on Z, each also coinduced from every
 subgroup.  Positions repeat across the group elements (the norm column
 of a resolution lands every element's matrix on the same block), so a
 scatter that does not accumulate fails here.  Each module builds its
-coordinate lists once, however many total complexes read them.
+coordinate lists once, however many total complexes read them, and the
+resolution's generator matrices are read as their stored lists, never as
+dense matrices.
 """
 
 from functools import cached_property
@@ -35,8 +37,14 @@ from tateform.groups import (
     make_cyclic,
     symmetric_group,
 )
+from tateform import resolutions
 from tateform.resolutions import complete_resolution, resolution_for
-from tateform.tate import TotalComplex, _CoinducedModule, coinduced
+from tateform.tate import (
+    TotalComplex,
+    _CoinducedModule,
+    coinduced,
+    tate_hypercohomology,
+)
 from test_coinduced import _augmentation_complex
 from test_differential import D4
 
@@ -108,3 +116,17 @@ def test_each_module_builds_its_pattern_once(monkeypatch):
     # subgroups, each built once
     assert len(built) == len({id(M) for M in built}) == len(kept) == 11
     assert {id(M) for M in built} == kept
+
+
+def test_a_bar_tate_read_makes_no_dense_generator_matrix(monkeypatch):
+    # Z over [-3, 3] on bar Z/6 at window 4 reads d^-4 .. d^3, whose
+    # largest generator matrix is 1296 x 1296 with 4946 nonzeros
+    def refuse(d):
+        raise AssertionError("dense view of a %d x %d generator matrix" % d.shape)
+
+    monkeypatch.setattr(resolutions.GenLists, "dense", property(refuse))
+    G = make_cyclic(6)
+    X = complete_resolution(resolution_for(G, 4, "bar"))
+    T = tate_hypercohomology(X, concentrate(zmodule(G), 0), -3, 3)
+    assert [T.invariants(q) for q in range(-3, 4)] == [(), (6,)] * 3 + [()]
+    assert len(X.res.d_lists(4).vals) == 4946

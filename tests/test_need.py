@@ -148,10 +148,11 @@ def test_unknown_transform_is_refused():
 
 
 def _digest(res):
+    # the dense rows of every built degree, hashed as when they were stored
     payload = json.dumps(
         {"ranks": res.ranks,
-         "dgens": [None if d is None else [[int(x) for x in row] for row in d]
-                   for d in res.dgens]},
+         "dgens": [None] + [[[int(x) for x in row] for row in res.d_gen(i)]
+                            for i in range(1, len(res.dgens))]},
         separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 

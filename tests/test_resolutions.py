@@ -1,5 +1,7 @@
 """Tests for free and complete resolutions."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from tateform.intlinalg import (
 )
 from tateform import resolutions
 from tateform.resolutions import (
+    GenLists,
     SpanQuotient,
     bar_resolution,
     complete_resolution,
@@ -81,6 +84,19 @@ def generator_matrices(draw):
     return G, s, np.array(entries, dtype=object).reshape(s * G.order, r)
 
 
+def assert_lists_of(d, dense):
+    """d is the stored form of dense: its nonzeros, sorted by position,
+    each position once and no zero value, and its dense view equals it."""
+    rows, cols = np.nonzero(dense)
+    assert d.shape == dense.shape
+    assert np.array_equal(d.rows, rows) and np.array_equal(d.cols, cols)
+    assert d.vals.dtype == object and all(type(v) is int for v in d.vals)
+    assert np.array_equal(d.vals, dense[rows, cols])
+    assert np.all(np.diff(d.rows * d.shape[1] + d.cols) > 0)
+    assert all(v != 0 for v in d.vals)
+    assert np.array_equal(d.dense, dense)
+
+
 @settings(max_examples=100, deadline=None)
 @given(generator_matrices())
 def test_dual_gen_is_the_transposed_full_matrix(data):
@@ -94,6 +110,9 @@ def test_dual_gen_is_the_transposed_full_matrix(data):
     assert np.array_equal(free_full_matrix(G, r, dual),
                           free_full_matrix(G, s, gen).T)
     assert np.array_equal(dual_gen(G, r, dual), gen)
+    # the same map on the stored lists, which dual_gen shares
+    assert_lists_of(GenLists.of(gen), gen)
+    assert_lists_of(GenLists.of(gen).dual(G), dual)
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,6 +174,56 @@ class TestBar:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             bar_resolution(symmetric_group(3), 5)
+
+
+def loop_bar_gen(G, i):
+    """d_i of the bar resolution, one face of one generator at a time;
+    a word's index reads its letters as base-|G| digits, big-endian."""
+    n, e = G.order, G.identity
+
+    def index(word):
+        return sum(x * n ** k for k, x in enumerate(reversed(word)))
+
+    out = zeros(n ** i, n ** i)
+    for b, g in enumerate(product(range(n), repeat=i)):
+        out[index(g[1:]) * n + g[0], b] += 1
+        for j in range(i - 1):
+            merged = g[:j] + (G.mul(g[j], g[j + 1]),) + g[j + 2:]
+            out[index(merged) * n + e, b] += (-1) ** (j + 1)
+        out[index(g[:-1]) * n + e, b] += (-1) ** i
+    return out
+
+
+STORED_GROUPS = {
+    "S3": symmetric_group(3),
+    "D4": D4,
+    "Q8": Q8,
+    "S4": symmetric_group(4),
+    "Z4": make_cyclic(4),
+    "Z6": make_cyclic(6),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("engine, name, length", [
+    ("bar", "S3", 3), ("bar", "D4", 3), ("bar", "Q8", 3), ("bar", "S4", 2),
+    ("peeled", "S3", 4), ("peeled", "D4", 4), ("peeled", "Q8", 4),
+    ("peeled", "S4", 3), ("periodic", "Z4", 4), ("periodic", "Z6", 4)])
+def test_stored_lists_are_the_generator_matrices(engine, name, length, seed):
+    # every degree's lists are the nonzeros of its matrix (the bar one
+    # built face by face), and the lists X hands out for d^q, q >= 0, are
+    # those of (dual aug) o aug's columns (b, e) and of dual_gen
+    G = STORED_GROUPS[name] if seed is None else relabel(STORED_GROUPS[name], seed)
+    X = complete_resolution(resolution_for(G, length, engine))
+    res, n = X.res, G.order
+    for i in range(1, length + 1):
+        want = loop_bar_gen(G, i) if engine == "bar" else res.d_gen(i)
+        assert_lists_of(res.d_lists(i), want)
+    cols = [b * n + G.identity for b in range(res.rank(0))]
+    assert_lists_of(X.diff_lists(0), res.aug.T @ res.aug[:, cols])
+    for q in range(1, length):
+        assert_lists_of(X.diff_lists(q),
+                        dual_gen(G, res.rank(q - 1), res.d_gen(q)))
 
 
 class TestPeriodic:
@@ -475,6 +544,7 @@ class TestAuditCorruption:
     def test_free_resolution_audit_catches_bad_map(self):
         G = make_cyclic(4)
         res = periodic_resolution(G, 3)
-        res.d_gen(3)
-        res.dgens[2] = np.full((4, 1), 2, dtype=object)  # 2*norm: image too small
+        res.rank(3)  # builds the stored lists only: no dense view is kept
+        # 2*norm: image too small
+        res.dgens[2] = GenLists.of(np.full((4, 1), 2, dtype=object))
         assert not validate_complete_resolution(complete_resolution(res)).passed

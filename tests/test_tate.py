@@ -791,7 +791,7 @@ class TestDiagonal:
     def hand_built_z3(minus_entries):
         """Rank-one resolution of Z/3 whose odd differentials carry the
         given {element: coefficient} column and whose even ones are N."""
-        from tateform.resolutions import FreeResolution
+        from tateform.resolutions import FreeResolution, GenLists
 
         G = make_cyclic(3)
         minus = np.zeros((3, 1), dtype=object)
@@ -800,7 +800,7 @@ class TestDiagonal:
         norm = np.ones((3, 1), dtype=object)
         aug = np.ones((1, 3), dtype=object)
         return complete_resolution(FreeResolution(
-            G, 6, lambda _, i: (minus if i % 2 else norm).copy(), aug))
+            G, 6, lambda _, i: GenLists.of(minus if i % 2 else norm), aug))
 
     def test_accepts_other_generator(self):
         X = self.hand_built_z3({2: 1, 0: -1})  # sigma^2 - 1
